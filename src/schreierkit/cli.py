@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -174,8 +175,9 @@ def cmd_tfamily(args: argparse.Namespace) -> int:
     params, seed = _load_params(args)
     if args.mode == "build":
         obj = tparams_to_obj(params, seed)
+        # Decimal prints every digit of a large int; str() refuses past 4300
         obj["cardinalities"] = {
-            str(n): str(tf.index_cardinality(n, params))
+            str(n): str(Decimal(tf.index_cardinality(n, params)))
             for n in range(1, params.window_max + 1)
         }
         _emit(dump_json(obj, None) + "\n", args.output)
@@ -193,7 +195,7 @@ def cmd_tfamily(args: argparse.Namespace) -> int:
         _emit(dump_json(obj, None) + "\n", args.output)
         return 0
     # verify / report are the evidence modes
-    report = ver.run_suites(seed, names=["tfamily"], jobs=args.jobs, params=params)
+    report = ver.run_suites(seed, names=["tfamily"], params=params)
     if args.mode == "report":
         obj = report.to_obj()
         obj["parameters"] = tparams_to_obj(params, seed)
@@ -207,14 +209,13 @@ def cmd_tfamily(args: argparse.Namespace) -> int:
 def cmd_gauge(args: argparse.Namespace) -> int:
     family = family_from_obj(load_json(args.family))
     x = vector_from_obj(load_json(args.vector))
-    tol = parse_rational(args.tol) if args.tol else interp.DEFAULT_TOLERANCE
     if args.nmax is not None:
         p = parse_rational(args.p) if args.p else Fraction(2)
-        res = interp.dfjp_norm(x, family, p, n_max=args.nmax, tolerance=tol)
+        res = interp.dfjp_norm(x, family, p, n_max=args.nmax)
         print(f"levels 1..{args.nmax}: value in [{res.value_lo:.12g}, {res.value_hi:.12g}]")
         print(f"tail bound ({p}-powered): {format_rational(res.tail_powered)}")
         return 0
-    bracket = interp.dfjp_gauge(interp.GaugeProblem(x, args.n, family, tol))
+    bracket = interp.dfjp_gauge(interp.GaugeProblem(x, args.n, family))
     print(
         f"gauge level {args.n}: [{format_rational(bracket.lo)}, {format_rational(bracket.hi)}]"
         f" width {float(bracket.width):.3g}"
@@ -248,7 +249,7 @@ def _summarize(report: ver.RunReport) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     names = args.suite or None
-    report = ver.run_suites(args.seed, names=names, jobs=args.jobs)
+    report = ver.run_suites(args.seed, names=names)
     _write_report(report, args)
     _summarize(report)
     return report.exit_status
@@ -261,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default=argparse.SUPPRESS, help="randomized-case seed (default 12345)")
     common.add_argument("--output", default=argparse.SUPPRESS, help="write results to a file")
     common.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS, help="parallel case workers")
 
     parser = argparse.ArgumentParser(
         prog="schreierkit",
@@ -307,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gauge = sub.add_parser("gauge", parents=[common], help="interpolation gauge brackets")
     p_gauge.add_argument("--n", type=int, default=1, help="gauge level")
     p_gauge.add_argument("--p", help="aggregation exponent for --nmax mode")
-    p_gauge.add_argument("--tol", help="bracket tolerance as p/q")
     p_gauge.add_argument("--family", required=True)
     p_gauge.add_argument("--vector", required=True)
     p_gauge.add_argument("--nmax", type=int, help="aggregate levels 1..nmax")
@@ -325,7 +324,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     # the shared flags use SUPPRESS so values given before the subcommand
     # survive subparser re-parsing; fill the defaults here
-    for name, default in (("seed_explicit", None), ("output", None), ("format", "csv"), ("jobs", 1)):
+    for name, default in (("seed_explicit", None), ("output", None), ("format", "csv")):
         if not hasattr(args, name):
             setattr(args, name, default)
     args.seed = args.seed_explicit if args.seed_explicit is not None else 12345

@@ -2,26 +2,24 @@
 p-aggregated norm, for W the absolutely convex hull of the unit basis.
 
 On finite supports the W-gauge is exactly the l1 coefficient norm (the
-closure in the ambient space adds nothing), so membership of x/lam in
-2^n W + 2^{-n} B reduces to
+closure in the ambient space adds nothing), so the gauge of x is
 
-    min { ||x - lam*w||_F : ||w||_1 <= 2^n }  <=  lam * 2^{-n},
+    min { lam : x = y + z,  ||y||_1 <= 2^n lam,  ||z||_F <= 2^{-n} lam }.
 
-a finite linear program once the family norm is written as a maximum of
-member sums (absolute values linearized).  The gauge itself is bracketed by
-bisection on lam; feasibility is monotone in lam, and the inner LP is exact
-rational with a verified duality certificate.
+Once the family norm is written as a maximum of member sums (absolute values
+linearized), these constraints are jointly linear in (lam, y), so a single
+exact rational LP with a verified duality certificate gives the gauge value
+itself (Charnes-Cooper homogenization of the fixed-lam inner distance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .families import Family, trace
 from .lp import LPResult, solve_lp
-from .norms import f_norm
 from .vectors import SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
@@ -29,7 +27,10 @@ DEFAULT_TOLERANCE = Fraction(1, 2**30)
 
 @dataclass(frozen=True)
 class GaugeProblem:
-    """One gauge evaluation: vector, level n, family, bracket tolerance."""
+    """One gauge evaluation: vector, level n, family.
+
+    ``tolerance`` is validated but ignored: the gauge is computed exactly.
+    """
 
     x: SparseVector
     level: int
@@ -52,14 +53,25 @@ def inner_distance(
     p_k - q_k.  Only support coordinates of x matter: mass of w outside the
     support can be dropped without increasing anything.
     """
+    return _distance_lp(x, family, level, lam)
+
+
+def _distance_lp(
+    x: SparseVector, family: Family, level: int, lam: Optional[Fraction]
+) -> LPResult:
+    """The LP of :func:`inner_distance`, or with ``lam=None`` the gauge LP:
+    p, q carry y = lam*w, a last column carries lam, the l1 row reads
+    ||y||_1 <= 2^level lam, the row t <= 2^{-level} lam joins, and lam is
+    minimized."""
     supp = x.support
     if not supp:
         raise ValueError("inner distance needs a nonzero vector")
     pos = {k: idx for idx, k in enumerate(supp)}
     m = len(supp)
-    budget = Fraction(2**level)
-    # variable layout: [t, v_1..v_m, p_1..p_m, q_1..q_m]
-    nvars = 1 + 3 * m
+    gauge = lam is None
+    scale = Fraction(1) if gauge else lam
+    # variable layout: [t, v_1..v_m, p_1..p_m, q_1..q_m] (+ [lam] for the gauge)
+    nvars = 1 + 3 * m + gauge
     zero = Fraction(0)
 
     def new_row() -> list[Fraction]:
@@ -67,19 +79,19 @@ def inner_distance(
 
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
-    # v_k >= x_k - lam*w_k  and  v_k >= -(x_k - lam*w_k)
+    # v_k >= x_k - scale*w_k  and  v_k >= -(x_k - scale*w_k)
     for k in supp:
         i = pos[k]
         row = new_row()
         row[1 + i] = Fraction(-1)
-        row[1 + m + i] = -lam
-        row[1 + 2 * m + i] = lam
+        row[1 + m + i] = -scale
+        row[1 + 2 * m + i] = scale
         a_ub.append(row)
         b_ub.append(-x[k])
         row = new_row()
         row[1 + i] = Fraction(-1)
-        row[1 + m + i] = lam
-        row[1 + 2 * m + i] = -lam
+        row[1 + m + i] = scale
+        row[1 + 2 * m + i] = -scale
         a_ub.append(row)
         b_ub.append(x[k])
     # family member sums stay below t; singleton sums are covered by the
@@ -100,24 +112,31 @@ def inner_distance(
         a_ub.append(row)
         b_ub.append(zero)
     # l1 budget on w
+    budget = Fraction(2**level)
     row = new_row()
     for i in range(m):
         row[1 + m + i] = Fraction(1)
         row[1 + 2 * m + i] = Fraction(1)
-    a_ub.append(row)
-    b_ub.append(budget)
+    if gauge:
+        row[-1] = -budget
+        a_ub.append(row)
+        b_ub.append(zero)
+        # t <= 2^{-level} lam
+        row = new_row()
+        row[0] = Fraction(1)
+        row[-1] = -1 / budget
+        a_ub.append(row)
+        b_ub.append(zero)
+    else:
+        a_ub.append(row)
+        b_ub.append(budget)
 
     c = new_row()
-    c[0] = Fraction(1)
+    c[-1 if gauge else 0] = Fraction(1)
     res = solve_lp(c, a_ub, b_ub)
     if not res.optimal:
-        raise RuntimeError(f"inner LP unexpectedly {res.status}")
+        raise RuntimeError(f"distance LP unexpectedly {res.status}")
     return res
-
-
-def _feasible(x: SparseVector, family: Family, lam: Fraction, level: int) -> bool:
-    res = inner_distance(x, family, lam, level)
-    return res.objective <= lam * Fraction(1, 2**level)
 
 
 @dataclass(frozen=True)
@@ -135,34 +154,15 @@ class GaugeBracket:
 
 
 def dfjp_gauge(prob: GaugeProblem) -> GaugeBracket:
-    """Bracket the gauge value within the requested tolerance.
+    """The exact gauge value from one certified LP, as a zero-width bracket.
 
-    The initial upper end is min(2^{-n} ||x||_1, 2^n ||x||_F): the first is
-    feasible via w = x / lam at full budget, the second via w = 0.  The
-    initial lower end is ||x||_F / (2^n + 2^{-n}), below the gauge because
-    ||x||_F <= lam (||w||_F + 2^{-n}) <= lam (2^n + 2^{-n}) at any feasible
-    pair.  Feasibility is monotone in lam, so the gauge stays inside the
-    bracket at every bisection step.
+    ``prob.tolerance`` is ignored.
     """
-    x, level, family, tol = prob.x, prob.level, prob.family, prob.tolerance
+    x, level = prob.x, prob.level
     if not x:
         return GaugeBracket(Fraction(0), Fraction(0), level)
-    two_n = Fraction(2**level)
-    inv_n = Fraction(1, 2**level)
-    norm = f_norm(x, family)
-    hi = min(inv_n * x.l1_norm(), two_n * norm)
-    if not _feasible(x, family, hi, level):
-        raise AssertionError("initial bracket end must be feasible")
-    lo = norm / (two_n + inv_n)
-    if lo > hi:  # both bounds are valid, so this cannot happen
-        raise AssertionError("gauge bracket ends crossed")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if _feasible(x, family, mid, level):
-            hi = mid
-        else:
-            lo = mid
-    return GaugeBracket(lo, hi, level)
+    value = _distance_lp(x, prob.family, level, None).objective
+    return GaugeBracket(value, value, level)
 
 
 @dataclass(frozen=True)
@@ -198,9 +198,10 @@ def dfjp_norm(
 ) -> DfjpNormResult:
     """Two-sided, tail-accounted evaluation of the interpolation norm.
 
-    Levels n = 1..n_max are bracketed by :func:`dfjp_gauge`; the remainder
-    is bounded through the l1 overestimate of the gauge.  Only integer
-    p > 1 is supported exactly.
+    Levels n = 1..n_max are exact values from :func:`dfjp_gauge`, so
+    ``powered_hi - powered_lo == tail_powered``; the remainder is bounded
+    through the l1 overestimate of the gauge.  Only integer p > 1 is
+    supported exactly.  ``tolerance`` is validated but ignored.
     """
     p = Fraction(p)
     if p <= 1:

@@ -53,8 +53,14 @@ def family_from_obj(obj: dict) -> Family:
     if hereditary not in (True, False, None):
         raise ValueError('"hereditary" must be true, false or null')
     sets = obj["sets"]
+    if not isinstance(sets, list):
+        raise ValueError('"sets" must be an array')
     for s in sets:
-        if list(s) != sorted(set(s)):
+        if not isinstance(s, list) or not all(
+            isinstance(k, int) and not isinstance(k, bool) for k in s
+        ):
+            raise ValueError(f"set {s!r} is not an array of integers")
+        if s != sorted(set(s)):
             raise ValueError(f"set {s} is not strictly increasing")
     return Family(sets, hereditary=hereditary)
 

@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -98,7 +97,7 @@ def _csv_quote(field: str) -> str:
 Case = tuple[str, str, Callable[[], Verdict]]
 
 
-def _run_cases(suite: str, cases: Sequence[Case], jobs: int = 1) -> list[CaseResult]:
+def _run_cases(suite: str, cases: Sequence[Case]) -> list[CaseResult]:
     def execute(case: Case) -> CaseResult:
         pid, instance, thunk = case
         t0 = time.perf_counter()
@@ -113,9 +112,6 @@ def _run_cases(suite: str, cases: Sequence[Case], jobs: int = 1) -> list[CaseRes
             verdict = "pass" if outcome else "fail"
         return CaseResult(suite, pid, instance, verdict, witness, exact, ms)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(execute, cases))
     return [execute(c) for c in cases]
 
 
@@ -685,7 +681,6 @@ SUITES: dict[str, Callable[[int], list[Case]]] = {
 def run_suites(
     seed: int,
     names: Optional[Iterable[str]] = None,
-    jobs: int = 1,
     params: Optional[tf.TParams] = None,
 ) -> RunReport:
     chosen = list(names) if names else sorted(SUITES)
@@ -695,5 +690,5 @@ def run_suites(
             raise ValueError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
         builder = SUITES[name]
         built = builder(seed, params) if name == "tfamily" and params is not None else builder(seed)
-        cases.extend(_run_cases(name, built, jobs=jobs))
+        cases.extend(_run_cases(name, built))
     return RunReport(seed, cases)

@@ -48,6 +48,8 @@ def test_gauge_general_bounds():
         br = dfjp_gauge(GaugeProblem(x, n, BASE, TOL))
         assert br.hi <= Fraction(1, 2**n) * x.l1_norm() + TOL
         assert br.lo >= f_norm(x, BASE) / (2**n + Fraction(1, 2**n)) - TOL
+        # d(lam) - lam 2^-n strictly decreases, so this holds only at the gauge
+        assert inner_distance(x, BASE, br.lo, n).objective == br.lo / 2**n
 
 
 def test_gauge_homogeneity_within_two_tolerances():
@@ -93,8 +95,8 @@ def test_inner_distance_against_direct_minimum_on_singleton():
 def test_monotone_feasibility_bracket_invariants():
     x = SparseVector({2: Fraction(2, 3), 4: Fraction(-1, 2)})
     br = dfjp_gauge(GaugeProblem(x, 2, BASE, Fraction(1, 2**10)))
-    assert 0 <= br.lo < br.hi
-    assert br.width <= Fraction(1, 2**10)
+    assert 0 <= br.lo == br.hi
+    assert inner_distance(x, BASE, br.lo, 2).objective == br.lo / 4
 
 
 def test_dfjp_norm_unit_vector():

@@ -109,6 +109,9 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
     vec = write(tmp_path, "x.json", {"coords": [[1, "1"]]})
     assert main(["norm", "--family", bad, "--vector", vec]) == 2
     assert main(["norm", "--family", str(tmp_path / "missing.json"), "--vector", vec]) == 2
+    for sets in ([1, [2]], [["a"]], 5):
+        shape = write(tmp_path, "shape.json", {"sets": sets})
+        assert main(["family", "--op", "closure", "--input", shape]) == 2
 
 
 def test_cli_family_ops(tmp_path, capsys):
@@ -158,6 +161,20 @@ def test_cli_tfamily_build_and_sample(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
     assert main(["tfamily", "sample", "--config", cfg]) == 2  # missing --n
+
+
+def test_cli_tfamily_build_prints_cardinalities_past_int_str_limit(capsys):
+    from schreierkit.tfamily import TParams, index_cardinality
+
+    assert main(["tfamily", "build", "--lam", "999/1000", "--window-max", "12"]) == 0
+    text = json.loads(capsys.readouterr().out)["cardinalities"]["12"]
+    want = index_cardinality(12, TParams.build(Fraction(999, 1000), 12))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(text) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_cli_tfamily_verify_negative_control(tmp_path, capsys):
@@ -210,11 +227,11 @@ def test_cli_schreier_error_paths(capsys):
 def test_cli_gauge(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", {"sets": [[1]], "hereditary": None})
     vec = write(tmp_path, "u1.json", {"coords": [[1, "1"]]})
-    assert main(["gauge", "--n", "3", "--tol", "1/1024", "--family", fpath, "--vector", vec]) == 0
+    assert main(["gauge", "--n", "3", "--family", fpath, "--vector", vec]) == 0
     out = capsys.readouterr().out
     assert "gauge level 3" in out
 
-    assert main(["gauge", "--nmax", "4", "--p", "2", "--tol", "1/1024",
+    assert main(["gauge", "--nmax", "4", "--p", "2",
                  "--family", fpath, "--vector", vec]) == 0
     out = capsys.readouterr().out
     assert "levels 1..4" in out and "tail bound" in out
