@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .families import Family, best_set_sum, finite_set, trace
 from .lp import LPResult, solve_lp
@@ -28,6 +28,7 @@ from .schreier import OrdinalCNF, schreier_enumerate
 from .vectors import SparseVector
 
 PValue = Union[int, Fraction, float]  # float only for math.inf
+T = TypeVar("T", Fraction, float)
 
 #: sign-pattern enumeration cutoff for `uniform_weak_bound`
 MAX_SIGN_PATTERNS = 2**20
@@ -54,19 +55,19 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    return _block_dp(x, family, lambda v: v**p)
+
+
+def _block_dp(x: SparseVector, family: Family, power: Callable[[Fraction], T]) -> T:
+    # best[j]: largest sum of power(||run||_F) over cuts of support[:j] into runs;
+    # best[0] = power(0) is the empty sum in the caller's number type
     support = x.support
-    if not support:
-        return Fraction(0)
-    m = len(support)
-    # seg[i][j] = ||x restricted to support positions i..j||_F
-    seg = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            seg[i][j] = f_norm(x.restrict(support[i : j + 1]), family)
-    best = [Fraction(0)] * (m + 1)
-    for j in range(1, m + 1):
-        best[j] = max(best[i] + seg[i][j - 1] ** p for i in range(j))
-    return best[m]
+    best = [power(Fraction(0))]
+    for j in range(1, len(support) + 1):
+        best.append(
+            max(best[i] + power(f_norm(x.restrict(support[i:j]), family)) for i in range(j))
+        )
+    return best[-1]
 
 
 def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fraction, float]:
@@ -87,22 +88,8 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
         if p == 1:
             return power
         return float(power) ** (1.0 / p.numerator)
-    return _block_p_norm_float(x, family, float(p))
-
-
-def _block_p_norm_float(x: SparseVector, family: Family, p: float) -> float:
-    support = x.support
-    if not support:
-        return 0.0
-    m = len(support)
-    seg = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            seg[i][j] = float(f_norm(x.restrict(support[i : j + 1]), family))
-    best = [0.0] * (m + 1)
-    for j in range(1, m + 1):
-        best[j] = max(best[i] + seg[i][j - 1] ** p for i in range(j))
-    return best[m] ** (1.0 / p)
+    q = float(p)
+    return _block_dp(x, family, lambda v: float(v) ** q) ** (1.0 / q)
 
 
 @dataclass(frozen=True)

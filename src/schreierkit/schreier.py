@@ -8,7 +8,12 @@ fundamental sequences (beta_n) are fixed canonically (see
 :func:`fundamental_sequence`); any other choice changes the families as sets
 but not the structure of anything built on top of them.
 
-Membership and enumeration are memoized; all functions are pure.
+Every S_alpha is hereditary, so s is in S_{alpha+1} exactly when one greedy
+scan empties s within min(s) cuts: cut off the longest prefix in S_alpha,
+then the longest prefix of the rest in S_alpha, and so on.  A shorter block
+never saves a block, because the rest of a longer block is still in S_alpha.
+Membership is memoized in one cache keyed on (alpha, s), which enumeration
+shares; all functions are pure.
 """
 
 from __future__ import annotations
@@ -127,22 +132,19 @@ def _member(alpha: OrdinalCNF, s: FiniteSet) -> bool:
     if alpha.is_zero:
         return len(s) <= 1
     if alpha.is_successor:
-        return _decompose(alpha.predecessor(), s, s[0])
+        # greedy blocks: prefix membership is monotone, so stop at the first failure
+        delta = alpha.predecessor()
+        i = 0
+        for _ in range(s[0]):
+            j = i + 1
+            while j < len(s) and _member(delta, s[i : j + 1]):
+                j += 1
+            i = j
+            if i == len(s):
+                return True
+        return False
     # limit: only stages n with s contained in [n+1, oo) can apply
     return any(_member(fundamental_sequence(alpha, n), s) for n in range(s[0]))
-
-
-@lru_cache(maxsize=None)
-def _decompose(delta: OrdinalCNF, s: FiniteSet, blocks_left: int) -> bool:
-    # can s be cut into at most `blocks_left` consecutive blocks, each in S_delta?
-    if not s:
-        return True
-    if blocks_left == 0:
-        return False
-    for cut in range(1, len(s) + 1):
-        if _member(delta, s[:cut]) and _decompose(delta, s[cut:], blocks_left - 1):
-            return True
-    return False
 
 
 def schreier_member(alpha: OrdinalCNF, s: Iterable[int]) -> bool:

@@ -266,8 +266,11 @@ def sample_in(
     """Uniform point of F(u) & I_n by rejection.
 
     Acceptance probability equals the measure ratio, hence is at least
-    lambda; expected tries are at most 1/lambda.
+    lambda; expected tries are at most 1/lambda.  A ratio of 0, reachable
+    only through a ``radices`` override, raises ValueError.
     """
+    if measure_ratio(symbolic.u, n, params) == 0:
+        raise ValueError(f"F(u) & I_{n} is empty for u = {symbolic.u}: nothing to sample")
     rng = _rng(seed)
     while True:
         pt = sample_point(n, params, rng)

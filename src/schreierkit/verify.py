@@ -618,7 +618,6 @@ def suite_interp(seed: int) -> list[Case]:
     rng = random.Random(seed ^ 0x1A7E)
     w5 = fam.interval(1, 5)
     base = fam.bounded_cardinality_family(w5, 2)
-    tol = Fraction(1, 2**10)
     pairs = []
     for _ in range(5):
         x = SparseVector({k: _rand_fraction(rng) for k in rng.sample(list(w5), 3)})
@@ -627,30 +626,29 @@ def suite_interp(seed: int) -> list[Case]:
             pairs.append((x, y))
 
     def gauge_unit() -> Verdict:
-        tight = Fraction(1, 2**20)
         for n in range(1, 7):
-            br = interp.dfjp_gauge(interp.GaugeProblem(SparseVector.unit(1), n, base, tight))
+            br = interp.dfjp_gauge(interp.GaugeProblem(SparseVector.unit(1), n, base))
             expect = Fraction(1) / (2**n + Fraction(1, 2**n))
-            if not (br.lo <= expect <= br.hi and br.width <= tight):
+            if not br.lo == br.hi == expect:
                 return False, f"n={n}: [{br.lo}, {br.hi}]", ""
         return True, "", ""
 
     def homogeneity() -> Verdict:
         for x, _ in pairs:
-            b1 = interp.dfjp_gauge(interp.GaugeProblem(x, 3, base, tol))
-            b2 = interp.dfjp_gauge(interp.GaugeProblem(x.scale(2), 3, base, tol))
-            if b2.hi > 2 * b1.hi + 2 * tol or b2.lo < 2 * b1.lo - 2 * tol:
+            b1 = interp.dfjp_gauge(interp.GaugeProblem(x, 3, base))
+            b2 = interp.dfjp_gauge(interp.GaugeProblem(x.scale(2), 3, base))
+            if (b2.lo, b2.hi) != (2 * b1.lo, 2 * b1.hi):
                 return False, f"x={x!r}", ""
         return True, "", ""
 
     def subadditivity() -> Verdict:
         for x, y in pairs:
-            bx = interp.dfjp_gauge(interp.GaugeProblem(x, 3, base, tol))
-            by = interp.dfjp_gauge(interp.GaugeProblem(y, 3, base, tol))
+            bx = interp.dfjp_gauge(interp.GaugeProblem(x, 3, base))
+            by = interp.dfjp_gauge(interp.GaugeProblem(y, 3, base))
             if not (x + y):
                 continue
-            bxy = interp.dfjp_gauge(interp.GaugeProblem(x + y, 3, base, tol))
-            if bxy.lo > bx.hi + by.hi + 2 * tol:
+            bxy = interp.dfjp_gauge(interp.GaugeProblem(x + y, 3, base))
+            if bxy.hi > bx.lo + by.lo:
                 return False, f"x={x!r}, y={y!r}", ""
         return True, "", ""
 

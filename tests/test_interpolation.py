@@ -31,10 +31,8 @@ def test_gauge_zero_vector():
 
 def test_gauge_unit_vector_analytic():
     for n in range(1, 8):
-        br = dfjp_gauge(GaugeProblem(SparseVector.unit(1), n, BASE, TOL))
-        expect = Fraction(1) / (2**n + Fraction(1, 2**n))
-        assert br.lo <= expect <= br.hi
-        assert br.width <= TOL
+        br = dfjp_gauge(GaugeProblem(SparseVector.unit(1), n, BASE))
+        assert br.lo == br.hi == Fraction(1) / (2**n + Fraction(1, 2**n))
 
 
 def test_gauge_general_bounds():
@@ -52,26 +50,25 @@ def test_gauge_general_bounds():
         assert inner_distance(x, BASE, br.lo, n).objective == br.lo / 2**n
 
 
-def test_gauge_homogeneity_within_two_tolerances():
+def test_gauge_homogeneity_exact():
     rng = random.Random(11)
     for _ in range(6):
         x = rand_vec(rng)
-        b1 = dfjp_gauge(GaugeProblem(x, 3, BASE, TOL))
-        b2 = dfjp_gauge(GaugeProblem(x.scale(2), 3, BASE, TOL))
-        mid1, mid2 = b1.midpoint(), b2.midpoint()
-        assert abs(mid2 - 2 * mid1) <= 2 * TOL
+        b1 = dfjp_gauge(GaugeProblem(x, 3, BASE))
+        b2 = dfjp_gauge(GaugeProblem(x.scale(2), 3, BASE))
+        assert (b2.lo, b2.hi) == (2 * b1.lo, 2 * b1.hi)
 
 
-def test_gauge_subadditivity_within_two_tolerances():
+def test_gauge_subadditivity_exact():
     rng = random.Random(13)
     for _ in range(6):
         x, y = rand_vec(rng), rand_vec(rng)
         if not (x + y):
             continue
-        bx = dfjp_gauge(GaugeProblem(x, 3, BASE, TOL))
-        by = dfjp_gauge(GaugeProblem(y, 3, BASE, TOL))
-        bxy = dfjp_gauge(GaugeProblem(x + y, 3, BASE, TOL))
-        assert bxy.lo <= bx.hi + by.hi + 2 * TOL
+        bx = dfjp_gauge(GaugeProblem(x, 3, BASE))
+        by = dfjp_gauge(GaugeProblem(y, 3, BASE))
+        bxy = dfjp_gauge(GaugeProblem(x + y, 3, BASE))
+        assert bxy.hi <= bx.lo + by.lo
 
 
 def test_inner_lp_exact_duality():

@@ -19,7 +19,12 @@ from schreierkit import (
     schreier_member,
 )
 
-from oracles import all_subsets, schreier_level_member, schreier_member_direct
+from oracles import (
+    all_subsets,
+    schreier_level_member,
+    schreier_member_direct,
+    schreier_member_naive,
+)
 
 ZERO = OrdinalCNF.from_int(0)
 ONE = OrdinalCNF.from_int(1)
@@ -93,6 +98,28 @@ def test_membership_level_examples():
 def test_membership_matches_unmemoized_recursion(s, level):
     s = tuple(sorted(s))
     assert schreier_member(OrdinalCNF.from_int(level), s) == schreier_level_member(level, s)
+
+
+def test_greedy_blocks_match_block_split_search():
+    subsets = list(all_subsets(interval(1, 10)))
+    for text in ("2", "3", "w+1", "w*2+1", "w^2+2", "w^2+w+2"):
+        alpha = parse_ordinal(text)
+        for s in subsets:
+            assert schreier_member(alpha, s) == schreier_member_naive(alpha, s), (text, s)
+
+
+def test_long_windows_at_high_levels():
+    assert schreier_member(parse_ordinal("w^2*2"), interval(24, 53))
+    assert schreier_member(parse_ordinal("w^4*3"), interval(20, 199))
+
+
+def test_schreier_family_counts_are_fibonacci():
+    # #{s in 1..n : #s <= min s} = F(n+2)
+    fib = [0, 1]
+    while len(fib) < 23:
+        fib.append(fib[-1] + fib[-2])
+    for n in (12, 16, 20):
+        assert len(schreier_family(interval(1, n))) == fib[n + 2]
 
 
 def test_enumerate_matches_membership_filter():

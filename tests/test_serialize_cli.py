@@ -268,6 +268,7 @@ def test_cli_entrypoint_subprocess():
         [sys.executable, "-m", "schreierkit.cli", "schreier", "--alpha", "1", "--member", "3,4,5"],
         capture_output=True,
         text=True,
+        cwd=Path(__file__).resolve().parents[1] / "src",  # `-m` imports from the working directory
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "true"

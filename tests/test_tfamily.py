@@ -157,6 +157,14 @@ def test_sample_in_respects_constraints():
         assert point_membership(pt, sym)
 
 
+def test_sample_in_refuses_an_empty_piece():
+    # all radices 1: every constrained piece is empty, so rejection would never accept
+    ones = TParams.build(HALF, 7, radices={4: 1, 5: 1, 6: 1, 7: 1})
+    with pytest.raises(ValueError):
+        sample_in(f_of_u((4, 5, 6, 7), ones), 7, ones, 0)
+    assert sample_in(f_of_u((4, 5, 6, 7), ones), 6, ones, 0).n == 6
+
+
 def test_rejection_rate_matches_exact_ratio():
     sym = f_of_u([4, 5, 6, 7], P7)
     ratio = measure_ratio([4, 5, 6, 7], 7, P7)
