@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional
@@ -307,30 +308,37 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
     Exact branch-and-bound on the trie: a branch entered at element e is cut
     when the running sum plus the total weight sitting at indices >= e cannot
     beat the incumbent.  Elements without a weight count as zero.
-    """
-    best = Fraction(0)
-    if not family:
-        return best
-    support = sorted(weights)
-    # suffix[i] = total weight at support positions i..end
-    suffix: list[Fraction] = [Fraction(0)] * (len(support) + 1)
-    for i in range(len(support) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + weights[support[i]]
 
-    def tail_from(e: int) -> Fraction:
+    The weights are scaled once by the lcm of their denominators, so the walk
+    adds and compares Python ints; the result is that integer over the lcm,
+    still exact, with no float anywhere.
+    """
+    if not family:
+        return Fraction(0)
+    scale = math.lcm(*(v.denominator for v in weights.values()))
+    scaled = {e: v.numerator * (scale // v.denominator) for e, v in weights.items()}
+    support = sorted(scaled)
+    # suffix[i] = total scaled weight at support positions i..end
+    suffix = [0] * (len(support) + 1)
+    for i in range(len(support) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + scaled[support[i]]
+
+    def tail_from(e: int) -> int:
         return suffix[bisect.bisect_left(support, e)]
 
-    def walk(node: _Node, acc: Fraction) -> None:
+    best = 0
+
+    def walk(node: _Node, acc: int) -> None:
         nonlocal best
         if node.terminal and acc > best:
             best = acc
         for e in node.children:
             if acc + tail_from(e) <= best:
                 continue
-            walk(node.children[e], acc + weights.get(e, Fraction(0)))
+            walk(node.children[e], acc + scaled.get(e, 0))
 
-    walk(family._root, Fraction(0))
-    return best
+    walk(family._root, 0)
+    return Fraction(best, scale)
 
 
 class PartitionMeasure:

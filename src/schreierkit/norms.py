@@ -11,7 +11,10 @@ are all derived from it.
 
 Exactness policy: everything is rational; p-th roots are deferred to output
 formatting.  For integer p the p-powered block norm is the canonical exact
-result (see :func:`block_p_norm_power`).
+result (see :func:`block_p_norm_power`).  Member scans (the trie walk of
+:func:`~schreierkit.families.best_set_sum`, eps-supports and the uniform weak
+bound) scale their inputs once by the lcm of the denominators and then add
+and compare Python ints; this is still exact and uses no floats.
 """
 
 from __future__ import annotations
@@ -104,6 +107,13 @@ class NormingSpec:
     include_singletons: bool = True
 
 
+def _scaled(xs: Sequence[SparseVector], eps: Fraction) -> tuple[list[dict[int, int]], int]:
+    """The vectors and eps times the lcm of all their denominators, as ints."""
+    scale = math.lcm(eps.denominator, *(v.denominator for x in xs for _, v in x.items()))
+    ints = [{k: v.numerator * (scale // v.denominator) for k, v in x.items()} for x in xs]
+    return ints, eps.numerator * (scale // eps.denominator)
+
+
 def eps_support_family(
     xs: Sequence[SparseVector], spec: NormingSpec, eps: Fraction
 ) -> Family:
@@ -119,16 +129,16 @@ def eps_support_family(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    ints, eps_int = _scaled(xs, eps)
     union_supp = sorted({k for x in xs for k in x.support})
     sets: list[tuple[int, ...]] = [()]
     if spec.include_singletons:
         for k in union_supp:
-            sets.append(tuple(n for n, x in enumerate(xs, start=1) if abs(x[k]) >= eps))
+            sets.append(tuple(n for n, x in enumerate(ints, start=1) if abs(x.get(k, 0)) >= eps_int))
     for s in spec.base_family:
         hits = []
-        for n, x in enumerate(xs, start=1):
-            total = sum((abs(x[k]) for k in s), Fraction(0))
-            if total >= eps:
+        for n, x in enumerate(ints, start=1):
+            if sum(abs(x.get(k, 0)) for k in s) >= eps_int:
                 hits.append(n)
         sets.append(tuple(hits))
     return Family(sets)
@@ -144,22 +154,20 @@ def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fract
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    ints, eps_int = _scaled(xs, eps)
     best = 0
     union_supp = {k for x in xs for k in x.support}
     if spec.include_singletons:
         for k in sorted(union_supp):
-            best = max(best, sum(1 for x in xs if abs(x[k]) >= eps))
+            best = max(best, sum(1 for x in ints if abs(x.get(k, 0)) >= eps_int))
     for s in spec.base_family:
         rel = [k for k in s if k in union_supp]
         if not rel:
             continue
-        definite = all(
-            all(x[k] >= 0 for k in rel) or all(x[k] <= 0 for k in rel) for x in xs
-        )
+        rows = [[x.get(k, 0) for k in rel] for x in ints]
+        definite = all(all(v >= 0 for v in row) or all(v <= 0 for v in row) for row in rows)
         if definite:
-            cnt = sum(
-                1 for x in xs if sum((abs(x[k]) for k in rel), Fraction(0)) >= eps
-            )
+            cnt = sum(1 for row in rows if sum(map(abs, row)) >= eps_int)
             best = max(best, cnt)
             continue
         if 2 ** (len(rel) - 1) > MAX_SIGN_PATTERNS:
@@ -167,9 +175,8 @@ def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fract
         for signs in itertools.product((1, -1), repeat=len(rel) - 1):
             theta = (1,) + signs
             cnt = 0
-            for x in xs:
-                val = sum((t * x[k] for t, k in zip(theta, rel)), Fraction(0))
-                if abs(val) >= eps:
+            for row in rows:
+                if abs(sum(t * v for t, v in zip(theta, row))) >= eps_int:
                     cnt += 1
             best = max(best, cnt)
     return best

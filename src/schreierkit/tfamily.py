@@ -37,17 +37,32 @@ DigitKey = tuple[int, int, int, int]  # (m, l, i, j) with 2 <= i < j <= m-1, 1 <
 
 
 def radius(m: int, lam: Fraction) -> int:
-    """Smallest r with (1 - 1/r)^C(m-2, 2) >= lam, by exact comparison."""
+    """Smallest r with (1 - 1/r)^C(m-2, 2) >= lam, by exact comparison.
+
+    The left side increases with r and is 0 at r = 1, so r is doubled until
+    the test holds and then bisected between the last failing and the first
+    passing value.
+    """
     if m < 4:
         raise ValueError(f"radices are defined for m >= 4, got {m}")
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
     exponent = math.comb(m - 2, 2)
-    r = 1
-    while Fraction(r - 1, r) ** exponent < lam:
-        r += 1
-    return r
+
+    def passes(r: int) -> bool:
+        return Fraction(r - 1, r) ** exponent >= lam
+
+    lo, hi = 1, 2
+    while not passes(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass(frozen=True)

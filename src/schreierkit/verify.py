@@ -24,6 +24,7 @@ from . import interpolation as interp
 from . import norms
 from . import schreier as sch
 from . import tfamily as tf
+from .oracles import block_power_brute, family_norm_brute
 from .serialize import format_rational
 from .vectors import SparseVector
 
@@ -131,15 +132,6 @@ def _rand_hereditary(rng: random.Random, window: Sequence[int], n_seeds: int = 6
         size = rng.randint(1, min(4, len(window)))
         seeds.append(rng.sample(list(window), size))
     return fam.hereditary_closure(fam.Family(seeds))
-
-
-def _brute_best_sum(family: fam.Family, x: SparseVector) -> Fraction:
-    best = Fraction(0)
-    for s in family:
-        total = sum((abs(x[k]) for k in s), Fraction(0))
-        if total > best:
-            best = total
-    return best
 
 
 # ---------------------------------------------------------------- suites
@@ -319,7 +311,7 @@ def suite_norms(seed: int) -> list[Case]:
         for fml in (s_fam, rand_fam):
             for x in vectors:
                 got = norms.f_norm(x, fml)
-                want = max(x.sup_norm(), _brute_best_sum(fml, x))
+                want = family_norm_brute(fml, dict(x.items()))
                 if got != want:
                     return False, f"x={x!r}: {got} != {want}", ""
         return True, "", ""
@@ -349,7 +341,7 @@ def suite_norms(seed: int) -> list[Case]:
         for x in vectors[:8]:
             for p in (1, 2):
                 got = norms.block_p_norm_power(x, s_fam, p)
-                want = _brute_block_power(x, s_fam, p)
+                want = block_power_brute(dict(x.items()), s_fam, p)
                 if got != want:
                     return False, f"p={p}, x={x!r}: {got} != {want}", ""
             if norms.baernstein_norm(x, s_fam, float("inf")) != norms.f_norm(x, s_fam):
@@ -421,41 +413,6 @@ def suite_norms(seed: int) -> list[Case]:
         ("norms.spreading_lp", "unit bases over s in S", spreading_constants),
         ("norms.cesaro_profile", "unit basis, singleton family", cesaro_c0),
     ]
-
-
-def _brute_block_power(x: SparseVector, family: fam.Family, p: int) -> Fraction:
-    """Supremum of sum ||E_i x||^p over ALL block sequences of finite sets.
-
-    Any block sequence induces, on the support, a subset split into
-    consecutive runs; enumerate exactly those.
-    """
-    support = x.support
-    best = Fraction(0)
-    m = len(support)
-    seg: dict[tuple[int, ...], Fraction] = {}
-    for keep in itertools.product((False, True), repeat=m):
-        chosen = tuple(k for k, flag in zip(support, keep) if flag)
-        if not chosen:
-            continue
-        for cuts in itertools.product((False, True), repeat=len(chosen) - 1):
-            total = Fraction(0)
-            run: list[int] = [chosen[0]]
-            for k, cut in zip(chosen[1:], cuts):
-                if cut:
-                    key = tuple(run)
-                    if key not in seg:
-                        seg[key] = norms.f_norm(x.restrict(key), family)
-                    total += seg[key] ** p
-                    run = [k]
-                else:
-                    run.append(k)
-            key = tuple(run)
-            if key not in seg:
-                seg[key] = norms.f_norm(x.restrict(key), family)
-            total += seg[key] ** p
-            if total > best:
-                best = total
-    return best
 
 
 def suite_tfamily(seed: int, params: Optional[tf.TParams] = None) -> list[Case]:

@@ -191,18 +191,29 @@ def test_best_set_sum_matches_scan():
         schreier_family(w),
         hereditary_closure(Family([rng.sample(list(w), 3) for _ in range(5)])),
         Family(),
+        # not hereditary: the trie prefixes {1}, {1,5} and {2} are not members
+        Family([[1, 5, 9], [2, 3]]),
+        Family([[]]),
+        # no member meets 10..12, where some weights sit
+        Family([[1, 2], [4]]),
+    ]
+    primes = [999983, 999979, 999961, 999959, 999953, 999931]
+    weight_maps = [
+        lambda ks: {k: Fraction(rng.randint(0, 9), rng.randint(1, 7)) for k in ks},
+        lambda ks: {k: Fraction(rng.randint(0, 10**6), rng.choice(primes)) for k in ks},
+        lambda ks: {k: rng.randint(0, 9) for k in ks},
     ]
     for fml in fams:
-        for _ in range(20):
-            weights = {
-                k: Fraction(rng.randint(0, 9), rng.randint(1, 7))
-                for k in rng.sample(list(w), rng.randint(1, 6))
-            }
-            want = Fraction(0)
-            for s in fml:
-                total = sum((weights.get(k, Fraction(0)) for k in s), Fraction(0))
-                want = max(want, total)
-            assert best_set_sum(fml, weights) == want
+        for make in weight_maps:
+            for _ in range(20):
+                weights = make(rng.sample(range(1, 13), rng.randint(1, 6)))
+                want = Fraction(0)
+                for s in fml:
+                    total = sum((weights.get(k, Fraction(0)) for k in s), Fraction(0))
+                    want = max(want, total)
+                got = best_set_sum(fml, weights)
+                assert got == want
+                assert type(got) is Fraction
 
 
 def test_partition_measure_validation():

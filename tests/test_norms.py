@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -208,6 +209,48 @@ def test_uniform_weak_bound_signed_enumeration():
     assert uniform_weak_bound(xs, spec, Fraction(1, 2)) == 1
     with_singles = NormingSpec(Family([[1, 2]]), include_singletons=True)
     assert uniform_weak_bound(xs, with_singles, Fraction(1, 2)) == 2
+
+
+signed_vectors_strategy = st.lists(
+    st.dictionaries(
+        st.integers(1, 6),
+        st.fractions(min_value=-3, max_value=3, max_denominator=60),
+        max_size=4,
+    ),
+    min_size=1,
+    max_size=5,
+).map(lambda ds: [SparseVector(d) for d in ds])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    signed_vectors_strategy,
+    st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=6).map(Family),
+    st.booleans(),
+    st.fractions(min_value=Fraction(1, 1000), max_value=4, max_denominator=1000),
+)
+def test_weak_bound_and_eps_supports_match_definitions(xs, base, singletons, eps):
+    spec = NormingSpec(base, include_singletons=singletons)
+    # the norming set itself: +-e_k* and every signed indicator of a base set
+    functionals = [{k: 1} for k in range(1, 7)] if singletons else []
+    for s in base:
+        functionals += [dict(zip(s, signs)) for signs in itertools.product((1, -1), repeat=len(s))]
+
+    def count(f):
+        return sum(
+            1 for x in xs if abs(sum((t * x[k] for k, t in f.items()), Fraction(0))) >= eps
+        )
+
+    assert uniform_weak_bound(xs, spec, eps) == max(map(count, functionals), default=0)
+
+    union = sorted({k for x in xs for k in x.support})
+    sets = [()]
+    if singletons:
+        sets += [tuple(n for n, x in enumerate(xs, 1) if abs(x[k]) >= eps) for k in union]
+    for s in base:
+        mass = [sum((abs(x[k]) for k in s), Fraction(0)) for x in xs]
+        sets.append(tuple(n for n, m in enumerate(mass, 1) if m >= eps))
+    assert eps_support_family(xs, spec, eps) == Family(sets)
 
 
 def test_spreading_constants_exact():

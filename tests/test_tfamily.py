@@ -36,13 +36,17 @@ def test_radius_examples_and_minimality():
     assert radius(4, HALF) == 2
     assert radius(5, HALF) == 5
     assert radius(6, HALF) == 10
+    assert [radius(m, Fraction(999, 1000)) for m in range(4, 13)] == [
+        1000, 2999, 5998, 9996, 14993, 20990, 27987, 35983, 44978
+    ]
     import math
 
-    for m in range(4, 9):
-        r = radius(m, HALF)
-        e = math.comb(m - 2, 2)
-        assert Fraction(r - 1, r) ** e >= HALF
-        assert Fraction(r - 2, r - 1) ** e < HALF
+    for lam, ms in ((HALF, range(4, 9)), (Fraction(9999, 10000), range(10, 13))):
+        for m in ms:
+            r = radius(m, lam)
+            e = math.comb(m - 2, 2)
+            assert Fraction(r - 1, r) ** e >= lam
+            assert Fraction(r - 2, r - 1) ** e < lam
     with pytest.raises(ValueError):
         radius(3, HALF)
     with pytest.raises(ValueError):
