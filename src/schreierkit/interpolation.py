@@ -149,9 +149,6 @@ class GaugeBracket:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
 
 def dfjp_gauge(prob: GaugeProblem) -> GaugeBracket:
     """The exact gauge value from one certified LP, as a zero-width bracket.

@@ -205,14 +205,12 @@ def solve_lp(
     dual_ub = dual[: len(a_ub)]
     dual_eq = dual[len(a_ub):]
 
-    _certify(c, a_ub, b_ub, a_eq, b_eq, x, val2, dual_ub, dual_eq)
-    dual_obj = sum((y * b for y, b in zip(dual_ub, b_ub)), zero) + sum(
-        (y * b for y, b in zip(dual_eq, b_eq)), zero
-    )
+    dual_obj = _certify(c, a_ub, b_ub, a_eq, b_eq, x, val2, dual_ub, dual_eq)
     return LPResult("optimal", x, val2, dual_ub, dual_eq, dual_obj)
 
 
-def _certify(c, a_ub, b_ub, a_eq, b_eq, x, objective, dual_ub, dual_eq) -> None:
+def _certify(c, a_ub, b_ub, a_eq, b_eq, x, objective, dual_ub, dual_eq) -> Fraction:
+    """Check primal and dual feasibility and strong duality; return y.b."""
     if any(v < 0 for v in x):
         raise LPCertificateError("primal negativity")
     for row, b in zip(a_ub, b_ub):
@@ -231,8 +229,9 @@ def _certify(c, a_ub, b_ub, a_eq, b_eq, x, objective, dual_ub, dual_eq) -> None:
         reduced -= sum(y * row[j] for y, row in zip(dual_eq, a_eq))
         if reduced < 0:
             raise LPCertificateError("dual feasibility violation")
-    dual_obj = sum(y * b for y, b in zip(dual_ub, b_ub)) + sum(
-        y * b for y, b in zip(dual_eq, b_eq)
+    dual_obj = sum((y * b for y, b in zip(dual_ub, b_ub)), Fraction(0)) + sum(
+        (y * b for y, b in zip(dual_eq, b_eq)), Fraction(0)
     )
     if dual_obj != objective:
         raise LPCertificateError("strong duality violation")
+    return dual_obj

@@ -1,9 +1,11 @@
-"""Naive norm oracles computed straight from the definitions.
+"""Naive oracles computed straight from the definitions.
 
-No trie, no branch-and-bound and no interval DP: the family norm scans every
-member, and the block norm enumerates every block sequence through its trace
-on the support.  The ``norms`` verify suite and the tests check the fast
-paths in :mod:`schreierkit.norms` against these.
+No trie, no branch-and-bound, no interval DP and no pigeonhole shortcut: the
+family norm scans every member, the block norm enumerates every block
+sequence through its trace on the support, block products try every cut,
+and digit sets and disequality systems are enumerated tuple by tuple.  The
+verify suites and the tests check the fast paths against these, so this
+module imports nothing but the standard library.
 """
 
 from __future__ import annotations
@@ -59,3 +61,38 @@ def block_power_brute(x, members, p: int):
             if total > best:
                 best = total
     return best
+
+
+def block_decomposable(s, f, g) -> bool:
+    """Can s be cut into consecutive blocks in f whose minima form a set in g?"""
+
+    def go(rest, mins):
+        if not rest:
+            return mins in g
+        return any(
+            rest[:cut] in f and go(rest[cut:], mins + (rest[0],))
+            for cut in range(1, len(rest) + 1)
+        )
+
+    return go(tuple(s), ())
+
+
+def eh_set(n: int, r: int, i: int, j: int):
+    """All tuples in {1..r}^n with distinct i-th and j-th digits."""
+    return [
+        a for a in itertools.product(range(1, r + 1), repeat=n) if a[i - 1] != a[j - 1]
+    ]
+
+
+def disequality_solutions(constraints, radix):
+    """Yield each assignment of the involved digit keys meeting every pair.
+
+    A key (m, ...) ranges over 1..radix(m); an assignment is a dict from key
+    to digit with a != b for every pair (a, b) in constraints.  Lazy, so an
+    emptiness check stops at the first solution.
+    """
+    keys = sorted({k for pair in constraints for k in pair})
+    for digits in itertools.product(*(range(1, radix(k[0]) + 1) for k in keys)):
+        assign = dict(zip(keys, digits))
+        if all(assign[a] != assign[b] for a, b in constraints):
+            yield assign

@@ -32,6 +32,16 @@ def parse_rational(text: Any) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_array(value: Any, what: str) -> list:
+    if not isinstance(value, list) or not all(_is_int(k) for k in value):
+        raise ValueError(f"{what} {value!r} is not an array of integers")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -56,11 +66,7 @@ def family_from_obj(obj: dict) -> Family:
     if not isinstance(sets, list):
         raise ValueError('"sets" must be an array')
     for s in sets:
-        if not isinstance(s, list) or not all(
-            isinstance(k, int) and not isinstance(k, bool) for k in s
-        ):
-            raise ValueError(f"set {s!r} is not an array of integers")
-        if s != sorted(set(s)):
+        if _int_array(s, "set") != sorted(set(s)):
             raise ValueError(f"set {s} is not strictly increasing")
     return Family(sets, hereditary=hereditary)
 
@@ -78,14 +84,18 @@ def measure_to_obj(measure: PartitionMeasure) -> dict:
 def measure_from_obj(obj: dict) -> PartitionMeasure:
     if not isinstance(obj, dict) or "pieces" not in obj:
         raise ValueError('measure JSON must be an object with a "pieces" array')
-    pieces = [tuple(p) for p in obj["pieces"]]
+    if not isinstance(obj["pieces"], list):
+        raise ValueError('"pieces" must be an array')
+    pieces = [tuple(_int_array(p, "piece")) for p in obj["pieces"]]
     weights_raw = obj.get("weights")
     if weights_raw is None:
         return PartitionMeasure.uniform(pieces)
+    if not isinstance(weights_raw, list) or len(weights_raw) != len(pieces):
+        raise ValueError(f'"weights" must be an array of {len(pieces)} arrays, one per piece')
     weights = []
     for p, row in zip(pieces, weights_raw):
-        if len(row) != len(p):
-            raise ValueError(f"piece {list(p)} needs {len(p)} weights")
+        if not isinstance(row, list) or len(row) != len(p):
+            raise ValueError(f"piece {list(p)} needs an array of {len(p)} weights")
         weights.append({e: parse_rational(v) for e, v in zip(p, row)})
     return PartitionMeasure(pieces, weights)
 
@@ -97,7 +107,12 @@ def vector_to_obj(x: SparseVector) -> dict:
 def vector_from_obj(obj: dict) -> SparseVector:
     if not isinstance(obj, dict) or "coords" not in obj:
         raise ValueError('vector JSON must be an object with a "coords" array')
-    return SparseVector([(k, parse_rational(v)) for k, v in obj["coords"]])
+    coords = obj["coords"]
+    if not isinstance(coords, list) or not all(
+        isinstance(c, list) and len(c) == 2 for c in coords
+    ):
+        raise ValueError('"coords" must be an array of [index, value] pairs')
+    return SparseVector([(k, parse_rational(v)) for k, v in coords])
 
 
 def tparams_from_obj(obj: dict) -> tuple[TParams, Optional[int]]:
@@ -106,13 +121,18 @@ def tparams_from_obj(obj: dict) -> tuple[TParams, Optional[int]]:
         raise ValueError("config must be a JSON object")
     lam = parse_rational(obj.get("lambda", "1/2"))
     window_max = obj.get("window_max", 7)
-    if not isinstance(window_max, int) or window_max < 1:
+    if not _is_int(window_max) or window_max < 1:
         raise ValueError(f'bad "window_max": {window_max!r}')
-    radices = None
-    if "radices" in obj and obj["radices"] is not None:
-        radices = {int(m): int(r) for m, r in obj["radices"].items()}
+    radices = obj.get("radices")
+    if radices is not None:
+        if not isinstance(radices, dict):
+            raise ValueError('"radices" must be an object mapping m to its radix')
+        for m, r in radices.items():
+            if not _is_int(r) or r < 1:
+                raise ValueError(f'"radices": r_{m} = {r!r} is not an integer >= 1')
+        radices = {int(m): r for m, r in radices.items()}
     seed = obj.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and not _is_int(seed):
         raise ValueError(f'bad "seed": {seed!r}')
     return TParams.build(lam, window_max, radices), seed
 

@@ -24,7 +24,13 @@ from . import interpolation as interp
 from . import norms
 from . import schreier as sch
 from . import tfamily as tf
-from .oracles import block_power_brute, family_norm_brute
+from .oracles import (
+    block_decomposable,
+    block_power_brute,
+    disequality_solutions,
+    eh_set,
+    family_norm_brute,
+)
 from .serialize import format_rational
 from .vectors import SparseVector
 
@@ -176,22 +182,11 @@ def suite_setfam(seed: int) -> list[Case]:
         want = fam.Family([[], [1], [5], [1, 5]])
         return got == want, "" if got == want else repr(got), ""
 
-    def _decomposable(s, f, g) -> bool:
-        def go(rest, mins):
-            if not rest:
-                return tuple(mins) in g
-            for cut in range(1, len(rest) + 1):
-                if rest[:cut] in f and go(rest[cut:], mins + [rest[0]]):
-                    return True
-            return False
-
-        return go(s, [])
-
     def block_product_witnesses() -> Verdict:
         s1 = sch.schreier_family(w)
         prod = fam.otimes(s1, s1, w)
         for s in prod:
-            if s and not _decomposable(s, s1, s1):
+            if s and not block_decomposable(s, s1, s1):
                 return False, f"no decomposition for {s}", ""
         return True, "", str(len(prod))
 
@@ -200,19 +195,14 @@ def suite_setfam(seed: int) -> list[Case]:
     def density_projections() -> Verdict:
         measure = fam.PartitionMeasure.uniform([[1, 2], [3, 4], [5, 6, 7, 8]])
         for f, lam in zip(rand_fams, lams):
+            projected = []
             for s in f:
                 split = measure.split(s)
-                s_lam = {n for n, part in split.items() if len(part) >= lam * len(measure.pieces[n - 1])}
-                s_plus = set(split)
-                if not s_lam.issubset(s_plus):
+                s_lam = sorted(n for n, part in split.items() if len(part) >= lam * len(measure.pieces[n - 1]))
+                if not set(s_lam).issubset(split):
                     return False, f"s={s}, lambda={lam}", ""
-            if fam.g_lambda(f, measure, lam) != fam.Family(
-                sorted(
-                    tuple(sorted(n for n, part in measure.split(s).items()
-                                 if len(part) >= lam * len(measure.pieces[n - 1])))
-                    for s in f
-                )
-            ):
+                projected.append(s_lam)
+            if fam.g_lambda(f, measure, lam) != fam.Family(projected):
                 return False, f"g_lambda mismatch on {f!r}", ""
         return True, "", ""
 
@@ -437,22 +427,17 @@ def suite_tfamily(seed: int, params: Optional[tf.TParams] = None) -> list[Case]:
     def eh_counts() -> Verdict:
         for n in range(2, 7):
             for r in range(1, 4):
-                want = sum(
-                    1
-                    for a in itertools.product(range(1, r + 1), repeat=n)
-                    if a[0] != a[1]
-                )
-                if tf.erdos_hajnal_count(n, r) != want:
+                if tf.erdos_hajnal_count(n, r) != len(eh_set(n, r, 1, 2)):
                     return False, f"(n,r)=({n},{r})", ""
         return True, "", ""
 
     def eh_intersection() -> Verdict:
         n, r = 3, 2
-        hit = [
-            a
-            for a in itertools.product(range(1, r + 1), repeat=n)
-            if all(a[i - 1] != a[j - 1] for i, j in itertools.combinations(range(1, n + 1), 2))
-        ]
+        hit = sorted(
+            set.intersection(
+                *(set(eh_set(n, r, i, j)) for i, j in itertools.combinations(range(1, n + 1), 2))
+            )
+        )
         return not hit, "" if not hit else str(hit[0]), "0"
 
     def g_identity() -> Verdict:
@@ -475,7 +460,8 @@ def suite_tfamily(seed: int, params: Optional[tf.TParams] = None) -> list[Case]:
         rep = tf.pigeonhole_intersection_empty(a_sets, (5, 6, 7, 8), p8)
         if not (rep.empty and rep.preconditions_ok):
             return False, f"report: {rep}", ""
-        brute = _pigeonhole_brute(a_sets, 8, p8)
+        constraints = [pair for u in a_sets for pair in tf.f_of_u(u, p8).piece_constraints(8)]
+        brute = next(disequality_solutions(constraints, p8.radix), None) is None
         return brute == rep.empty, "" if brute == rep.empty else "brute force disagrees", ""
 
     def sandwich() -> Verdict:
@@ -551,24 +537,6 @@ def suite_tfamily(seed: int, params: Optional[tf.TParams] = None) -> list[Case]:
         ("tfamily.sample_determinism", "seed 99 twice", sample_determinism),
         ("tfamily.rejection_rate", "u={4,5,6,7} at piece 7", rejection_rate),
     ]
-
-
-def _pigeonhole_brute(a_sets, top: int, params: tf.TParams) -> bool:
-    """Enumerate the involved digit coordinates of I_top directly."""
-    constraints = []
-    keys: set[tf.DigitKey] = set()
-    for u in a_sets:
-        sym = tf.f_of_u(u, params)
-        for a, b in sym.piece_constraints(top):
-            constraints.append((a, b))
-            keys.update((a, b))
-    key_list = sorted(keys)
-    radii = [params.radix(k[0]) for k in key_list]
-    for combo in itertools.product(*(range(1, r + 1) for r in radii)):
-        assign = dict(zip(key_list, combo))
-        if all(assign[a] != assign[b] for a, b in constraints):
-            return False
-    return True
 
 
 def suite_interp(seed: int) -> list[Case]:

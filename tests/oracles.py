@@ -3,6 +3,9 @@
 Everything here deliberately avoids the library's optimized paths (tries,
 branch-and-bound, interval DP, pigeonhole shortcuts): quantities are
 recomputed by naive enumeration so each test crosses two independent routes.
+The stdlib-only oracles that ``schreierkit verify`` also runs live in
+:mod:`schreierkit.oracles` and are re-exported here; the Schreier membership
+oracles below use the ordinal arithmetic and stay with the tests.
 """
 
 from __future__ import annotations
@@ -10,7 +13,13 @@ from __future__ import annotations
 import itertools
 
 from schreierkit import OrdinalCNF, fundamental_sequence
-from schreierkit.oracles import block_power_brute, family_norm_brute  # noqa: F401  (re-exported)
+from schreierkit.oracles import (  # noqa: F401  (re-exported)
+    block_decomposable,
+    block_power_brute,
+    disequality_solutions,
+    eh_set,
+    family_norm_brute,
+)
 
 
 def all_subsets(window):
@@ -55,10 +64,3 @@ def schreier_member_naive(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
 def schreier_level_member(level: int, s: tuple[int, ...]) -> bool:
     """Membership at finite level by unmemoized recursion on block splits."""
     return schreier_member_naive(OrdinalCNF.from_int(level), s)
-
-
-def eh_set(n: int, r: int, i: int, j: int):
-    """All tuples in {1..r}^n with distinct i-th and j-th digits."""
-    return [
-        a for a in itertools.product(range(1, r + 1), repeat=n) if a[i - 1] != a[j - 1]
-    ]

@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Random inputs are drawn from fixed seeds; every asserted value is
-either computed by an independent brute-force oracle in this file /
-oracles.py or verified analytically in the test body.
+either computed by an independent brute-force oracle from oracles.py or
+verified analytically in the test body.
 """
 
 import functools
@@ -46,7 +46,7 @@ from schreierkit import (
 )
 from schreierkit.cli import main as cli_main
 
-from oracles import block_power_brute, eh_set
+from oracles import block_power_brute, disequality_solutions, eh_set, family_norm_brute
 
 HALF = Fraction(1, 2)
 
@@ -85,14 +85,9 @@ def test_erdos_hajnal_brute_force():
                 if i < j:
                     assert erdos_hajnal_count(n, r) == len(eh_set(n, r, i, j))
     for n, r in ((3, 2), (4, 2), (4, 3), (5, 3)):
-        tuples = list(itertools.product(range(1, r + 1), repeat=n))
         for s in itertools.combinations(range(1, n + 1), r + 1):
-            alive = [
-                a
-                for a in tuples
-                if all(a[i - 1] != a[j - 1] for i, j in itertools.combinations(s, 2))
-            ]
-            assert not alive
+            pairs = itertools.combinations(s, 2)
+            assert not set.intersection(*(set(eh_set(n, r, i, j)) for i, j in pairs))
 
 
 @criterion(3, "density projections of every window member set recover its barrier set")
@@ -122,17 +117,8 @@ def test_pigeonhole_emptiness_instance():
     rep = pigeonhole_intersection_empty(a_sets, (5, 6, 7, 8), params)
     assert rep.empty and rep.preconditions_ok
 
-    constraints = []
-    for u in a_sets:
-        constraints.extend(f_of_u(u, params).piece_constraints(8))
-    slice_keys = [(4, l, 2, 3) for l in range(1, 9)]
-    satisfiable = False
-    for combo in itertools.product((1, 2), repeat=len(slice_keys)):
-        assign = dict(zip(slice_keys, combo))
-        if all(assign[a] != assign[b] for a, b in constraints):
-            satisfiable = True
-            break
-    assert not satisfiable
+    constraints = [pair for u in a_sets for pair in f_of_u(u, params).piece_constraints(8)]
+    assert next(disequality_solutions(constraints, params.radix), None) is None
 
     single = pigeonhole_intersection_empty([a_sets[0]], (5, 6, 7, 8), params)
     assert not single.empty
@@ -196,13 +182,7 @@ def test_f_norm_against_exhaustive_enumeration():
         numer = {k: rng.randint(-9, 9) for k in support}
         x = SparseVector({k: Fraction(v, den) for k, v in numer.items() if v})
         for fml, members in families:
-            got = f_norm(x, fml)
-            best = max((abs(v) for v in numer.values()), default=0)
-            for s in members:
-                total = sum(abs(numer.get(k, 0)) for k in s)
-                if total > best:
-                    best = total
-            assert got == Fraction(best, den)
+            assert f_norm(x, fml) == Fraction(family_norm_brute(members, numer), den)
 
 
 @criterion(9, "interval DP equals brute force over all block decompositions, p in {1,2,inf}")

@@ -27,7 +27,7 @@ from schreierkit import (
     trace,
 )
 
-from oracles import all_subsets
+from oracles import all_subsets, block_decomposable
 
 sets_strategy = st.lists(
     st.frozensets(st.integers(1, 9), min_size=0, max_size=4), min_size=0, max_size=6
@@ -122,22 +122,9 @@ def test_otimes_members_decompose():
     g = Family([[1], [2, 4], [1, 2]])
     prod = otimes(f, g, w)
     blocks = [s for s in f if s]
-
-    def decomposable(s):
-        def go(rest, mins):
-            if not rest:
-                return tuple(mins) in g
-            for cut in range(1, len(rest) + 1):
-                head = rest[:cut]
-                if head in f and go(rest[cut:], mins + [head[0]]):
-                    return True
-            return False
-
-        return go(s, [])
-
     for s in prod:
         if s:
-            assert decomposable(s)
+            assert block_decomposable(s, f, g)
     # conversely, every valid block union appears
     for k in (1, 2):
         for combo in itertools.permutations(blocks, k):
@@ -279,25 +266,6 @@ def test_schreier_trace_window_example():
     assert set(s.members()) == expect
 
 
-def _otimes_brute(f: Family, g: Family, window) -> set:
-    """Enumerate every block sequence directly."""
-    wset = set(window)
-    blocks = [s for s in f if s and wset.issuperset(s)]
-    out = set()
-    if () in g:
-        out.add(())
-
-    def extend(seq, union, mins):
-        if seq and tuple(mins) in g:
-            out.add(tuple(sorted(union)))
-        for b in blocks:
-            if not seq or b[0] > seq[-1][-1]:
-                extend(seq + [b], union | set(b), mins + [b[0]])
-
-    extend([], set(), [])
-    return out
-
-
 def test_otimes_matches_block_sequence_bruteforce():
     rng = random.Random(3)
     w = interval(1, 7)
@@ -310,4 +278,5 @@ def test_otimes_matches_block_sequence_bruteforce():
             [rng.sample(list(w), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
             + ([[]] if rng.random() < 0.3 else [])
         )
-        assert set(otimes(f, g, w).members()) == _otimes_brute(f, g, w)
+        want = {s for s in all_subsets(w) if block_decomposable(s, f, g)}
+        assert set(otimes(f, g, w).members()) == want

@@ -112,6 +112,15 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
     for sets in ([1, [2]], [["a"]], 5):
         shape = write(tmp_path, "shape.json", {"sets": sets})
         assert main(["family", "--op", "closure", "--input", shape]) == 2
+    fam_ok = write(tmp_path, "f.json", {"sets": [[1, 2]]})
+    assert main(["norm", "--family", fam_ok, "--vector", write(tmp_path, "v.json", {"coords": 5})]) == 2
+    for measure in ({"pieces": 5}, {"pieces": [[1], [2]], "weights": [5, 6]}):
+        mpath = write(tmp_path, "m.json", measure)
+        assert main(["family", "--op", "glambda", "--input", fam_ok,
+                     "--measure", mpath, "--density", "1/2"]) == 2
+    # a list is not a radix table; r_4 = 0 would leave I_4 empty
+    for config in ({"radices": [1, 2]}, {"radices": {"4": 0}, "window_max": 4}):
+        assert main(["tfamily", "build", "--config", write(tmp_path, "c.json", config)]) == 2
 
 
 def test_cli_family_ops(tmp_path, capsys):

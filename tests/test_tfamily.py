@@ -25,7 +25,7 @@ from schreierkit import (
     transversal_trace_report,
 )
 
-from oracles import eh_set
+from oracles import disequality_solutions, eh_set
 
 HALF = Fraction(1, 2)
 P7 = TParams.build(HALF, 7)
@@ -125,12 +125,8 @@ def test_measure_ratio_matches_slice_enumeration():
     # exhaustively count the constrained binary slice at the last piece
     sym = f_of_u([4, 5, 6, 7], P7)
     cons = sym.piece_constraints(7)
-    keys = sorted({k for pair in cons for k in pair})
-    satisfied = 0
-    for combo in itertools.product((1, 2), repeat=len(keys)):
-        assign = dict(zip(keys, combo))
-        if all(assign[a] != assign[b] for a, b in cons):
-            satisfied += 1
+    keys = {k for pair in cons for k in pair}
+    satisfied = sum(1 for _ in disequality_solutions(cons, P7.radix))
     assert Fraction(satisfied, 2 ** len(keys)) == measure_ratio([4, 5, 6, 7], 7, P7)
 
 
@@ -197,18 +193,9 @@ def test_pigeonhole_emptiness_instance_and_brute_force():
     assert rep.positions == (2, 3)
     assert rep.clique_slice == (4, 2, 3)
 
-    # brute force over the full binary slice that the constraints live in
-    cons = []
-    for u in a_sets:
-        cons.extend(f_of_u(u, P8).piece_constraints(8))
-    keys = [(4, l, 2, 3) for l in range(1, 9)]
-    found = False
-    for combo in itertools.product((1, 2), repeat=len(keys)):
-        assign = dict(zip(keys, combo))
-        if all(assign[a] != assign[b] for a, b in cons):
-            found = True
-            break
-    assert not found
+    # brute force over the binary digits the constraints involve
+    cons = [pair for u in a_sets for pair in f_of_u(u, P8).piece_constraints(8)]
+    assert next(disequality_solutions(cons, P8.radix), None) is None
 
 
 def test_pigeonhole_single_set_is_nonempty_with_reported_preconditions():
@@ -236,15 +223,8 @@ def test_pigeonhole_decision_is_exact_only_under_preconditions():
     assert not rep.empty  # no certificate, and none is claimed
 
     # brute force over the involved binary digits shows the truth: empty
-    cons = []
-    for u in cycle:
-        cons.extend(f_of_u(u, p10).piece_constraints(10))
-    keys = sorted({k for pair in cons for k in pair})
-    satisfiable = any(
-        all(dict(zip(keys, combo))[a] != dict(zip(keys, combo))[b] for a, b in cons)
-        for combo in itertools.product((1, 2), repeat=len(keys))
-    )
-    assert not satisfiable
+    cons = [pair for u in cycle for pair in f_of_u(u, p10).piece_constraints(10)]
+    assert next(disequality_solutions(cons, p10.radix), None) is None
 
 
 def test_averages_norm_cases():

@@ -43,6 +43,10 @@ def test_lp_simple_problems():
     res = solve_lp([1], a_ub=[[-1]], b_ub=[-2])
     assert res.optimal and res.objective == 2
 
+    # no constraints: the dual objective is the empty sum, still a Fraction
+    res = solve_lp([1, 2])
+    assert res.optimal and type(res.dual_objective) is Fraction and res.dual_objective == 0
+
     assert solve_lp([-1]).status == "unbounded"
     assert solve_lp([1], a_ub=[[-1]], b_ub=[-1], a_eq=[[1]], b_eq=[0]).status == "infeasible"
 
