@@ -23,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 FiniteSet = tuple[int, ...]
 
@@ -173,9 +173,51 @@ def hereditary_closure(family: Family) -> Family:
 
 
 def trace(family: Family, m: Iterable[int]) -> Family:
-    """The trace {s & M : s in family}, deduplicated."""
+    """The trace {s & M : s in family}, deduplicated.
+
+    One iterative walk over the trie carries each node's image in the output
+    trie: an element of M steps the image down, any other element leaves it
+    in place, and a member marks its image.  The cost is one step per trie
+    node, with no member tuple built and nothing sorted.
+    """
     mset = set(finite_set(m))
-    return Family((tuple(e for e in s if e in mset) for s in family), hereditary=None)
+    out = Family(hereditary=None)
+    stack = [(family._root, out._root)]
+    while stack:
+        node, image = stack.pop()
+        if node.terminal and not image.terminal:
+            image.terminal = True
+            out._size += 1
+        for e, child in node.children.items():
+            if e in mset:
+                nxt = image.children.get(e)
+                if nxt is None:
+                    nxt = image.children[e] = _Node()
+                stack.append((child, nxt))
+            else:
+                stack.append((child, image))
+    return out
+
+
+def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
+    """keep[i] is False exactly when sets[i] lies inside another listed set.
+
+    A repeat of an earlier set counts as lying inside it, so one copy of each
+    inclusion-maximal set is kept.  Sets are compared as bitmasks, largest
+    first, against the sets kept so far: whatever contains a set contains it
+    through some maximal set.
+    """
+    bit = {e: 1 << i for i, e in enumerate({e for s in sets for e in s})}
+    masks = [sum(bit[e] for e in s) for s in sets]
+    keep = [False] * len(sets)
+    kept: list[int] = []
+    # sorted() is stable, so of two equal sets the earlier comes first
+    for i in sorted(range(len(sets)), key=lambda i: -len(sets[i])):
+        mask = masks[i]
+        if all(mask | k != k for k in kept):
+            keep[i] = True
+            kept.append(mask)
+    return keep
 
 
 def restrict(family: Family, m: Iterable[int]) -> Family:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .families import Family, trace
-from .lp import LPResult, solve_lp
+from .families import Family, maximal_mask, trace
+from .lp import LPResult, solve_lp_reduced
 from .vectors import SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
@@ -62,7 +62,14 @@ def _distance_lp(
     """The LP of :func:`inner_distance`, or with ``lam=None`` the gauge LP:
     p, q carry y = lam*w, a last column carries lam, the l1 row reads
     ||y||_1 <= 2^level lam, the row t <= 2^{-level} lam joins, and lam is
-    minimized."""
+    minimized.
+
+    Member sums and single coordinates give one row each, t >= sum of v_k
+    over the set, but only the inclusion-maximal sets reach the simplex: the
+    v_k are >= 0, so a set's row implies the rows of its subsets.  The rows
+    left out are checked exactly against the optimum and get dual 0 (see
+    :func:`~schreierkit.lp.solve_lp_reduced`), so the result and its
+    certificate are those of the LP with every row."""
     supp = x.support
     if not supp:
         raise ValueError("inner distance needs a nonzero vector")
@@ -94,21 +101,14 @@ def _distance_lp(
         row[1 + 2 * m + i] = -scale
         a_ub.append(row)
         b_ub.append(x[k])
-    # family member sums stay below t; singleton sums are covered by the
-    # sup-norm rows added next
-    for s in trace(family, supp):
-        if len(s) < 2:
-            continue
+    # family member sums and single coordinates (the sup-norm) stay below t;
+    # only the inclusion-maximal sets among them get a row in the simplex
+    sums = [s for s in trace(family, supp) if len(s) >= 2] + [(k,) for k in supp]
+    for s in sums:
         row = new_row()
         row[0] = Fraction(-1)
         for k in s:
             row[1 + pos[k]] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(zero)
-    for k in supp:
-        row = new_row()
-        row[0] = Fraction(-1)
-        row[1 + pos[k]] = Fraction(1)
         a_ub.append(row)
         b_ub.append(zero)
     # l1 budget on w
@@ -131,9 +131,11 @@ def _distance_lp(
         a_ub.append(row)
         b_ub.append(budget)
 
+    # the 2m rows for v, the member rows, then one or two budget rows
+    keep = [True] * (2 * m) + maximal_mask(sums) + [True] * (1 + gauge)
     c = new_row()
     c[-1 if gauge else 0] = Fraction(1)
-    res = solve_lp(c, a_ub, b_ub)
+    res = solve_lp_reduced(c, a_ub, b_ub, keep)
     if not res.optimal:
         raise RuntimeError(f"distance LP unexpectedly {res.status}")
     return res
@@ -206,6 +208,8 @@ def dfjp_norm(
     if p.denominator != 1:
         raise ValueError("only integer p is supported in the exact tail bound")
     pint = p.numerator
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if not x:
         zero = Fraction(0)
         return DfjpNormResult((), zero, zero, zero, pint)

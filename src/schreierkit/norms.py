@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from .families import Family, best_set_sum, finite_set, trace
-from .lp import LPResult, solve_lp
+from .families import Family, best_set_sum, finite_set, maximal_mask, trace
+from .lp import LPResult, solve_lp_reduced
 from .schreier import OrdinalCNF, schreier_enumerate
 from .vectors import SparseVector
 
@@ -200,15 +200,20 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
     finitely many linear functionals (member sums and single coordinates),
     so the minimax is a linear program, solved with exact rational pivoting
     and certified by duality.
+
+    Only the inclusion-maximal functionals reach the simplex: the convex
+    coefficients and the |y_n| are >= 0, so a set's row implies the rows of
+    its subsets.  The rows left out are checked exactly against the optimum
+    and get dual 0 (see :func:`~schreierkit.lp.solve_lp_reduced`), so
+    ``lp`` and its certificate are those of the LP with every row.
     """
     if not ys:
         raise ValueError("need at least one vector")
     ys = [y.abs() for y in ys]
     union_supp = finite_set({k for y in ys for k in y.support} or {1})
-    functionals: list[tuple[int, ...]] = [(k,) for k in union_supp]
-    for s in trace(family, union_supp):
-        if len(s) >= 2:
-            functionals.append(s)
+    functionals = [(k,) for k in union_supp] + [
+        s for s in trace(family, union_supp) if len(s) >= 2
+    ]
 
     k = len(ys)
     # variables: a_1..a_k, t;  minimize t
@@ -221,7 +226,7 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
         b_ub.append(Fraction(0))
     a_eq = [[Fraction(1)] * k + [Fraction(0)]]
     b_eq = [Fraction(1)]
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    res = solve_lp_reduced(c, a_ub, b_ub, maximal_mask(functionals), a_eq, b_eq)
     if not res.optimal:
         raise RuntimeError(f"spreading LP unexpectedly {res.status}")
     return SpreadingResult(res.objective, res.x[:k], res)

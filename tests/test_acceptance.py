@@ -7,6 +7,7 @@ verified analytically in the test body.
 """
 
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -322,5 +323,9 @@ def test_verify_determinism(tmp_path):
     assert cli_main(["verify", "--seed", "777", "--output", str(a)]) == 0
     assert cli_main(["verify", "--seed", "777", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # the report is pinned, so a change that moves any verdict or value shows
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+        "9d8b17129c345bde1bbc062260dbe1c9697e2e9843da33ad02fb71775fb56409"
+    )
     rows = [line for line in a.read_text().splitlines() if not line.startswith(("#", "suite,"))]
     assert len(rows) >= 25

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schreierkit import (
@@ -26,6 +26,7 @@ from schreierkit import (
     schreier_family,
     trace,
 )
+from schreierkit.families import maximal_mask
 
 from oracles import all_subsets, block_decomposable
 
@@ -82,6 +83,26 @@ def test_trace_examples():
     assert trace(Family([[1, 2]]), [4]) == Family([[]])
     s6 = schreier_family(interval(1, 6))
     assert (4, 6) in trace(s6, [2, 4, 6])
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_strategy, st.frozensets(st.integers(1, 9), max_size=5))
+@example([frozenset()], frozenset({1}))
+@example([frozenset({7, 8}), frozenset({1, 3}), frozenset({3, 9})], frozenset({1, 2}))
+def test_trace_matches_member_by_member_definition(sets, m):
+    f = Family(sets)
+    assert trace(f, m) == Family({tuple(e for e in s if e in m) for s in f})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.frozensets(st.integers(1, 7), max_size=4), max_size=10))
+def test_maximal_mask_matches_pairwise_definition(sets):
+    sets = [tuple(sorted(s)) for s in sets]
+    keep = maximal_mask(sets)
+    for i, s in enumerate(sets):
+        # inside another set, or a repeat of an earlier one
+        inside = any(set(s) <= set(t) and (s != t or j < i) for j, t in enumerate(sets) if j != i)
+        assert keep[i] is (not inside)
 
 
 def test_restrict_examples():

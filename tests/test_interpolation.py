@@ -89,6 +89,19 @@ def test_inner_distance_against_direct_minimum_on_singleton():
     assert res.objective == direct
 
 
+def test_gauge_pinned_at_support_8_and_10():
+    # values from the LP with a row for every member of the trace
+    x8 = SparseVector({1: Fraction(3, 4), 2: Fraction(-5, 3), 3: Fraction(2, 7), 4: Fraction(1),
+                       5: Fraction(-7, 5), 6: Fraction(4, 9), 7: Fraction(-1, 2), 8: Fraction(6, 5)})
+    x10 = SparseVector({1: Fraction(-2, 3), 2: Fraction(5, 4), 3: Fraction(1, 6), 4: Fraction(-9, 7),
+                        5: Fraction(3, 2), 6: Fraction(-4, 5), 7: Fraction(7, 8), 8: Fraction(-1, 3),
+                        9: Fraction(8, 9), 10: Fraction(-5, 2)})
+    for x, top, level, want in ((x8, 8, 2, Fraction(36524, 24255)),
+                                (x10, 10, 3, Fraction(25871, 21294))):
+        br = dfjp_gauge(GaugeProblem(x, level, schreier_family(interval(1, top))))
+        assert br.lo == br.hi == want
+
+
 def test_monotone_feasibility_bracket_invariants():
     x = SparseVector({2: Fraction(2, 3), 4: Fraction(-1, 2)})
     br = dfjp_gauge(GaugeProblem(x, 2, BASE, Fraction(1, 2**10)))
@@ -118,6 +131,9 @@ def test_dfjp_norm_scaling_and_zero():
         dfjp_norm(x, BASE, 1)
     with pytest.raises(ValueError):
         dfjp_norm(x, BASE, Fraction(3, 2))
+    for n_max in (0, -3):
+        with pytest.raises(ValueError):
+            dfjp_norm(x, BASE, 2, n_max=n_max)
 
 
 def test_gauge_respects_family_choice():

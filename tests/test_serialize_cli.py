@@ -118,6 +118,10 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
         mpath = write(tmp_path, "m.json", measure)
         assert main(["family", "--op", "glambda", "--input", fam_ok,
                      "--measure", mpath, "--density", "1/2"]) == 2
+    # the aggregated norm starts at level 1
+    half = write(tmp_path, "half.json", {"coords": [[1, "1/2"]]})
+    for nmax in ("0", "-3"):
+        assert main(["gauge", "--vector", half, "--family", fam_ok, "--nmax", nmax, "--p", "2"]) == 2
     # a list is not a radix table; r_4 = 0 would leave I_4 empty
     for config in ({"radices": [1, 2]}, {"radices": {"4": 0}, "window_max": 4}):
         assert main(["tfamily", "build", "--config", write(tmp_path, "c.json", config)]) == 2

@@ -76,15 +76,6 @@ def test_erdos_hajnal_member_and_count():
             assert erdos_hajnal_count(n, r) == len(eh_set(n, r, 1, n))
 
 
-def test_erdos_hajnal_pigeonhole_intersection_empty():
-    # pairwise distinct digits over r+1 positions cannot exist
-    n, r = 3, 2
-    full = set(itertools.product(range(1, r + 1), repeat=n))
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        full &= set(eh_set(n, r, i, j))
-    assert not full
-
-
 def test_f_of_u_cases_and_point_membership():
     assert f_of_u([1], P7).constraints == {}
     assert f_of_u([2, 6], P7).constraints == {}

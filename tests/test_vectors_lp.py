@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreierkit import SparseVector, solve_lp
+from schreierkit.lp import LPCertificateError, solve_lp_reduced
+from schreierkit.oracles import lp_vertex_optimum
 
 
 def test_sparse_vector_basics():
@@ -32,23 +36,29 @@ def test_lp_simple_problems():
     # min -x - y  s.t. x + y <= 1
     res = solve_lp([-1, -1], a_ub=[[1, 1]], b_ub=[1])
     assert res.optimal and res.objective == -1
+    assert res.pivots == (0, 1)
     assert res.objective == res.dual_objective
 
     # min x + y  s.t. x + 2y = 3, x, y >= 0
     res = solve_lp([1, 1], a_eq=[[1, 2]], b_eq=[3])
     assert res.optimal and res.objective == Fraction(3, 2)
     assert res.x == [Fraction(0), Fraction(3, 2)]
+    # phase 1 brings x in (first negative reduced cost), phase 2 trades it for y
+    assert res.pivots == (1, 1)
 
     # negative rhs forces a flipped row: x >= 2 as -x <= -2
     res = solve_lp([1], a_ub=[[-1]], b_ub=[-2])
     assert res.optimal and res.objective == 2
+    assert res.pivots == (1, 0)
 
     # no constraints: the dual objective is the empty sum, still a Fraction
     res = solve_lp([1, 2])
     assert res.optimal and type(res.dual_objective) is Fraction and res.dual_objective == 0
+    assert res.pivots == (0, 0)
 
     assert solve_lp([-1]).status == "unbounded"
-    assert solve_lp([1], a_ub=[[-1]], b_ub=[-1], a_eq=[[1]], b_eq=[0]).status == "infeasible"
+    res = solve_lp([1], a_ub=[[-1]], b_ub=[-1], a_eq=[[1]], b_eq=[0])
+    assert res.status == "infeasible" and res.pivots == (1, 0)
 
 
 def test_lp_degenerate_problem_terminates():
@@ -97,3 +107,48 @@ def test_lp_rejects_ragged_input():
         solve_lp([1, 2], a_ub=[[1]], b_ub=[1])
     with pytest.raises(ValueError):
         solve_lp([1], a_ub=[[1]], b_ub=[1, 2])
+
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def bounded_lps(draw):
+    n = draw(st.integers(1, 3))
+    row = st.lists(fractions, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=3))
+    b_ub = draw(st.lists(fractions, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_eq = draw(st.lists(fractions, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_ub and draw(st.booleans()):
+        a_ub.append(a_ub[0])
+        b_ub.append(b_ub[0])
+    # sum x <= bound keeps the region bounded, so a feasible LP has an optimum
+    a_ub.append([Fraction(1)] * n)
+    b_ub.append(draw(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))))
+    return draw(row), a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_lps())
+def test_lp_matches_vertex_enumeration(lp):
+    res = solve_lp(*lp)
+    want = lp_vertex_optimum(*lp)
+    if want is None:
+        assert res.status == "infeasible"
+    else:
+        assert res.optimal and res.objective == want
+
+
+def test_reduced_lp_answers_for_every_row():
+    # min -x - y over x + y <= 1; the rows x <= 1 and y <= 1 are implied
+    c = [-1, -1]
+    a_ub = [[1, 0], [1, 1], [0, 1]]
+    b_ub = [1, 1, 1]
+    res = solve_lp_reduced(c, a_ub, b_ub, [False, True, False])
+    assert res.optimal and res.objective == -1
+    assert res.dual_ub == [0, -1, 0]
+    assert res.objective == res.dual_objective
+    # the optimum found is x = 1, so x <= 1/2 is not implied and fails the check
+    with pytest.raises(LPCertificateError):
+        solve_lp_reduced(c, a_ub, [Fraction(1, 2), 1, 1], [False, True, False])
