@@ -199,6 +199,15 @@ def trace(family: Family, m: Iterable[int]) -> Family:
     return out
 
 
+def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
+    """The sets whose sums of |x_k| norm x on ``support``: each singleton
+    (the sup-norm), then each member of the trace with at least two elements.
+
+    ||x||_F is the largest of these sums for x supported in ``support``; a
+    trace member of size <= 1 adds nothing the singletons do not."""
+    return [(k,) for k in support] + [s for s in trace(family, support) if len(s) >= 2]
+
+
 def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
     """keep[i] is False exactly when sets[i] lies inside another listed set.
 

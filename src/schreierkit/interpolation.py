@@ -6,10 +6,14 @@ closure in the ambient space adds nothing), so the gauge of x is
 
     min { lam : x = y + z,  ||y||_1 <= 2^n lam,  ||z||_F <= 2^{-n} lam }.
 
-Once the family norm is written as a maximum of member sums (absolute values
-linearized), these constraints are jointly linear in (lam, y), so a single
-exact rational LP with a verified duality certificate gives the gauge value
-itself (Charnes-Cooper homogenization of the fixed-lam inner distance).
+Both norms are lattice norms: they depend only on |y| and |z|, and grow
+with each |coordinate|.  So an optimal split can be taken sign-aligned with
+x and with |y_k| + |z_k| = |x_k| (replace y_k by sign(x_k) min(|y_k|, |x_k|)
+and z_k by the rest: neither |coordinate| grows).  The split is then one
+number z_k in [0, |x_k|] per support coordinate, ||y||_1 is the sum of
+|x_k| - z_k, and ||z||_F is the largest sum of z_k over a norming set.  These
+constraints are jointly linear in (z, lam), so a single exact rational LP
+with a verified duality certificate gives the gauge value itself.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .families import Family, maximal_mask, trace
+from .families import Family, maximal_mask, norming_sets
 from .lp import LPResult, solve_lp_reduced
 from .vectors import SparseVector
 
@@ -49,9 +53,10 @@ def inner_distance(
 ) -> LPResult:
     """min ||x - lam*w||_F over ||w||_1 <= 2^level, as a certified exact LP.
 
-    Variables: t (the norm value), v_k >= |x_k - lam*w_k|, and w_k split into
-    p_k - q_k.  Only support coordinates of x matter: mass of w outside the
-    support can be dropped without increasing anything.
+    With y = lam*w this is the least ||z||_F over splits x = y + z with
+    ||y||_1 <= 2^level |lam|; by the sign-alignment argument of the module
+    docstring the variables are z_k = |x_k| - |y_k| in [0, |x_k|], one per
+    support coordinate of x, and t, the norm value.
     """
     return _distance_lp(x, family, level, lam)
 
@@ -59,82 +64,51 @@ def inner_distance(
 def _distance_lp(
     x: SparseVector, family: Family, level: int, lam: Optional[Fraction]
 ) -> LPResult:
-    """The LP of :func:`inner_distance`, or with ``lam=None`` the gauge LP:
-    p, q carry y = lam*w, a last column carries lam, the l1 row reads
-    ||y||_1 <= 2^level lam, the row t <= 2^{-level} lam joins, and lam is
-    minimized.
+    """The LP of :func:`inner_distance`, or with ``lam=None`` the gauge LP.
 
-    Member sums and single coordinates give one row each, t >= sum of v_k
-    over the set, but only the inclusion-maximal sets reach the simplex: the
-    v_k are >= 0, so a set's row implies the rows of its subsets.  The rows
-    left out are checked exactly against the optimum and get dual 0 (see
+    Columns: z_1..z_m for the m support coordinates of x, then t (the norm
+    of z) for the inner distance, or lam for the gauge, minimized.  Rows:
+    z_k <= |x_k|; for each norming set s, sum of z_k over s <= t, or
+    <= 2^{-level} lam; and ||y||_1 = sum of (|x_k| - z_k) <= 2^level |lam|,
+    or <= 2^level lam.  z_k stands for |z_k| of a sign-aligned split, which
+    loses nothing because both norms are monotone in each |coordinate|.
+
+    Only the inclusion-maximal norming sets reach the simplex: the z_k are
+    >= 0, so a set's row implies the rows of its subsets.  The rows left out
+    are checked exactly against the optimum and get dual 0 (see
     :func:`~schreierkit.lp.solve_lp_reduced`), so the result and its
     certificate are those of the LP with every row."""
     supp = x.support
     if not supp:
         raise ValueError("inner distance needs a nonzero vector")
-    pos = {k: idx for idx, k in enumerate(supp)}
     m = len(supp)
+    pos = {k: i for i, k in enumerate(supp)}
+    absx = [abs(x[k]) for k in supp]
+    budget = Fraction(2**level)
     gauge = lam is None
-    scale = Fraction(1) if gauge else lam
-    # variable layout: [t, v_1..v_m, p_1..p_m, q_1..q_m] (+ [lam] for the gauge)
-    nvars = 1 + 3 * m + gauge
-    zero = Fraction(0)
-
-    def new_row() -> list[Fraction]:
-        return [zero] * nvars
-
     a_ub: list[list[Fraction]] = []
     b_ub: list[Fraction] = []
-    # v_k >= x_k - scale*w_k  and  v_k >= -(x_k - scale*w_k)
-    for k in supp:
-        i = pos[k]
-        row = new_row()
-        row[1 + i] = Fraction(-1)
-        row[1 + m + i] = -scale
-        row[1 + 2 * m + i] = scale
-        a_ub.append(row)
-        b_ub.append(-x[k])
-        row = new_row()
-        row[1 + i] = Fraction(-1)
-        row[1 + m + i] = scale
-        row[1 + 2 * m + i] = -scale
-        a_ub.append(row)
-        b_ub.append(x[k])
-    # family member sums and single coordinates (the sup-norm) stay below t;
-    # only the inclusion-maximal sets among them get a row in the simplex
-    sums = [s for s in trace(family, supp) if len(s) >= 2] + [(k,) for k in supp]
-    for s in sums:
-        row = new_row()
-        row[0] = Fraction(-1)
-        for k in s:
-            row[1 + pos[k]] = Fraction(1)
-        a_ub.append(row)
-        b_ub.append(zero)
-    # l1 budget on w
-    budget = Fraction(2**level)
-    row = new_row()
+    # z_k <= |x_k|
     for i in range(m):
-        row[1 + m + i] = Fraction(1)
-        row[1 + 2 * m + i] = Fraction(1)
-    if gauge:
-        row[-1] = -budget
+        row = [Fraction(0)] * (m + 1)
+        row[i] = Fraction(1)
         a_ub.append(row)
-        b_ub.append(zero)
-        # t <= 2^{-level} lam
-        row = new_row()
-        row[0] = Fraction(1)
-        row[-1] = -1 / budget
+        b_ub.append(absx[i])
+    # sum of z_k over each norming set <= t, or <= 2^{-level} lam
+    sets = norming_sets(family, supp)
+    for s in sets:
+        row = [Fraction(0)] * (m + 1)
+        for k in s:
+            row[pos[k]] = Fraction(1)
+        row[m] = -1 / budget if gauge else Fraction(-1)
         a_ub.append(row)
-        b_ub.append(zero)
-    else:
-        a_ub.append(row)
-        b_ub.append(budget)
+        b_ub.append(Fraction(0))
+    # ||y||_1 = ||x||_1 - sum of z_k <= 2^level lam, or <= 2^level |lam|
+    a_ub.append([Fraction(-1)] * m + [-budget if gauge else Fraction(0)])
+    b_ub.append((0 if gauge else budget * abs(lam)) - sum(absx))
 
-    # the 2m rows for v, the member rows, then one or two budget rows
-    keep = [True] * (2 * m) + maximal_mask(sums) + [True] * (1 + gauge)
-    c = new_row()
-    c[-1 if gauge else 0] = Fraction(1)
+    keep = [True] * m + maximal_mask(sets) + [True]
+    c = [Fraction(0)] * m + [Fraction(1)]
     res = solve_lp_reduced(c, a_ub, b_ub, keep)
     if not res.optimal:
         raise RuntimeError(f"distance LP unexpectedly {res.status}")

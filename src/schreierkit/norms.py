@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from .families import Family, best_set_sum, finite_set, maximal_mask, trace
+from .families import Family, best_set_sum, finite_set, maximal_mask, norming_sets
 from .lp import LPResult, solve_lp_reduced
 from .schreier import OrdinalCNF, schreier_enumerate
 from .vectors import SparseVector
@@ -211,9 +211,7 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
         raise ValueError("need at least one vector")
     ys = [y.abs() for y in ys]
     union_supp = finite_set({k for y in ys for k in y.support} or {1})
-    functionals = [(k,) for k in union_supp] + [
-        s for s in trace(family, union_supp) if len(s) >= 2
-    ]
+    functionals = norming_sets(family, union_supp)
 
     k = len(ys)
     # variables: a_1..a_k, t;  minimize t

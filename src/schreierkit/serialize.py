@@ -42,6 +42,12 @@ def _int_array(value: Any, what: str) -> list:
     return value
 
 
+def _set_array(value: Any, what: str = "set") -> list:
+    if _int_array(value, what) != sorted(set(value)):
+        raise ValueError(f"{what} {value} is not strictly increasing")
+    return value
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     if value.denominator == 1:
@@ -60,15 +66,13 @@ def family_from_obj(obj: dict) -> Family:
     if not isinstance(obj, dict) or "sets" not in obj:
         raise ValueError('family JSON must be an object with a "sets" array')
     hereditary = obj.get("hereditary")
-    if hereditary not in (True, False, None):
+    # 0 == False and 1 == True, so test the type rather than membership
+    if hereditary is not None and not isinstance(hereditary, bool):
         raise ValueError('"hereditary" must be true, false or null')
     sets = obj["sets"]
     if not isinstance(sets, list):
         raise ValueError('"sets" must be an array')
-    for s in sets:
-        if _int_array(s, "set") != sorted(set(s)):
-            raise ValueError(f"set {s} is not strictly increasing")
-    return Family(sets, hereditary=hereditary)
+    return Family(map(_set_array, sets), hereditary=hereditary)
 
 
 def measure_to_obj(measure: PartitionMeasure) -> dict:
@@ -86,7 +90,7 @@ def measure_from_obj(obj: dict) -> PartitionMeasure:
         raise ValueError('measure JSON must be an object with a "pieces" array')
     if not isinstance(obj["pieces"], list):
         raise ValueError('"pieces" must be an array')
-    pieces = [tuple(_int_array(p, "piece")) for p in obj["pieces"]]
+    pieces = [tuple(_set_array(p, "piece")) for p in obj["pieces"]]
     weights_raw = obj.get("weights")
     if weights_raw is None:
         return PartitionMeasure.uniform(pieces)
@@ -150,7 +154,10 @@ def tparams_to_obj(params: TParams, seed: Optional[int] = None) -> dict:
 
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nested too deeply") from exc
 
 
 def dump_json(obj: Any, path: Optional[str]) -> str:

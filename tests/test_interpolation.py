@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreierkit import (
+    Family,
     GaugeProblem,
     SparseVector,
     bounded_cardinality_family,
@@ -13,10 +16,11 @@ from schreierkit import (
     inner_distance,
     interval,
     schreier_family,
+    solve_lp,
+    trace,
 )
 
 BASE = bounded_cardinality_family(interval(1, 5), 2)
-TOL = Fraction(1, 2**16)
 
 
 def rand_vec(rng, size=3):
@@ -43,9 +47,9 @@ def test_gauge_general_bounds():
         if not x:
             continue
         n = rng.randint(1, 4)
-        br = dfjp_gauge(GaugeProblem(x, n, BASE, TOL))
-        assert br.hi <= Fraction(1, 2**n) * x.l1_norm() + TOL
-        assert br.lo >= f_norm(x, BASE) / (2**n + Fraction(1, 2**n)) - TOL
+        br = dfjp_gauge(GaugeProblem(x, n, BASE))
+        assert br.hi <= Fraction(1, 2**n) * x.l1_norm()
+        assert br.lo >= f_norm(x, BASE) / (2**n + Fraction(1, 2**n))
         # d(lam) - lam 2^-n strictly decreases, so this holds only at the gauge
         assert inner_distance(x, BASE, br.lo, n).objective == br.lo / 2**n
 
@@ -125,8 +129,8 @@ def test_dfjp_norm_scaling_and_zero():
     x = SparseVector({2: Fraction(1, 3), 3: Fraction(1, 5)})
     one = dfjp_norm(x, BASE, 2, n_max=4, tolerance=Fraction(1, 2**12))
     two = dfjp_norm(x.scale(2), BASE, 2, n_max=4, tolerance=Fraction(1, 2**12))
-    assert two.value_lo <= 2 * one.value_hi * 1.001
-    assert two.value_hi >= 2 * one.value_lo * 0.999
+    assert two.powered_lo == 4 * one.powered_lo
+    assert two.powered_hi == 4 * one.powered_hi
     with pytest.raises(ValueError):
         dfjp_norm(x, BASE, 1)
     with pytest.raises(ValueError):
@@ -145,6 +149,73 @@ def test_gauge_respects_family_choice():
         if len(x) < 2:
             continue
         singles = bounded_cardinality_family(interval(1, 5), 1)
-        b_small = dfjp_gauge(GaugeProblem(x, 2, singles, TOL))
-        b_large = dfjp_gauge(GaugeProblem(x, 2, s5, TOL))
-        assert b_large.hi >= b_small.lo - TOL
+        b_small = dfjp_gauge(GaugeProblem(x, 2, singles))
+        b_large = dfjp_gauge(GaugeProblem(x, 2, s5))
+        assert b_large.lo >= b_small.hi
+
+
+def linearized_lp(x, family, level, lam):
+    """The distance LP before its lattice form, with a row for every norming set.
+
+    Variables [t, v_1..v_m, p_1..p_m, q_1..q_m], plus lam for the gauge
+    (``lam=None``): v_k >= |x_k - scale*(p_k - q_k)| with scale lam, or 1 for
+    the gauge, where p - q carries y; t >= the sum of v_k over each singleton
+    and each trace member; sum of (p_k + q_k) <= 2^level, or <= 2^level lam
+    together with t <= 2^-level lam for the gauge.  Minimizes t, or lam.
+    """
+    supp = x.support
+    m = len(supp)
+    gauge = lam is None
+    scale = Fraction(1) if gauge else lam
+    n = 1 + 3 * m + gauge
+    a_ub, b_ub = [], []
+    for i, k in enumerate(supp):
+        for sign in (1, -1):
+            row = [Fraction(0)] * n
+            row[1 + i] = Fraction(-1)
+            row[1 + m + i] = -sign * scale
+            row[1 + 2 * m + i] = sign * scale
+            a_ub.append(row)
+            b_ub.append(-sign * x[k])
+    for s in [(k,) for k in supp] + list(trace(family, supp)):
+        row = [Fraction(0)] * n
+        row[0] = Fraction(-1)
+        for k in s:
+            row[1 + supp.index(k)] = Fraction(1)
+        a_ub.append(row)
+        b_ub.append(Fraction(0))
+    budget = Fraction(2**level)
+    row = [Fraction(0)] * (1 + m) + [Fraction(1)] * (2 * m) + [-budget] * gauge
+    a_ub.append(row)
+    b_ub.append(Fraction(0) if gauge else budget)
+    if gauge:
+        a_ub.append([Fraction(1)] + [Fraction(0)] * (3 * m) + [-1 / budget])
+        b_ub.append(Fraction(0))
+    c = [Fraction(0)] * n
+    c[-1 if gauge else 0] = Fraction(1)
+    return solve_lp(c, a_ub, b_ub)
+
+
+nonzero = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 6), nonzero, min_size=1, max_size=4),
+    st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=6),
+    st.integers(0, 6),
+    st.sampled_from((-1, 0, 1)),
+    st.fractions(min_value=0, max_value=8, max_denominator=8),
+)
+def test_lattice_lp_equals_linearized_lp(coords, sets, level, sign, size):
+    # the lattice form keeps one column per support coordinate; the values
+    # must be those of the LP that linearizes |x_k - lam*w_k| and splits w
+    x = SparseVector(coords)
+    family = Family(sets)
+    ref = linearized_lp(x, family, level, None)
+    assert ref.optimal
+    assert dfjp_gauge(GaugeProblem(x, level, family)).lo == ref.objective
+    lam = sign * size
+    ref = linearized_lp(x, family, level, lam)
+    assert ref.optimal
+    assert inner_distance(x, family, lam, level).objective == ref.objective
