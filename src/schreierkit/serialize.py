@@ -11,6 +11,7 @@ vectors as {"coords": [[3, "1/2"], [5, "-2/3"]]}; family parameters as
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -132,6 +133,9 @@ def tparams_from_obj(obj: dict) -> tuple[TParams, Optional[int]]:
         if not isinstance(radices, dict):
             raise ValueError('"radices" must be an object mapping m to its radix')
         for m, r in radices.items():
+            # one spelling per m, so two keys can never name the same piece
+            if not (isinstance(m, str) and re.fullmatch(r"[1-9][0-9]*", m)):
+                raise ValueError(f'"radices": key {m!r} is not an integer >= 1 in plain decimal')
             if not _is_int(r) or r < 1:
                 raise ValueError(f'"radices": r_{m} = {r!r} is not an integer >= 1')
         radices = {int(m): r for m, r in radices.items()}

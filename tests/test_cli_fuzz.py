@@ -108,6 +108,13 @@ bad_measure = st.one_of(
 )
 
 small_config = {"lambda": st.just("1/2"), "window_max": st.integers(1, 6)}
+# radix keys that int() reads but that are not m >= 1 in plain decimal
+int_key_not_canonical = st.one_of(
+    st.integers(-6, 0).map(str),
+    st.tuples(st.sampled_from(["0", "+", " ", "\t"]), st.integers(1, 6)).map(lambda t: f"{t[0]}{t[1]}"),
+    st.integers(1, 6).map(lambda m: f"{m} "),
+    st.sampled_from(["\u0664", "1_0"]),
+)
 bad_config = st.one_of(
     not_object,
     st.fixed_dictionaries({**small_config, "lambda": not_rational}),
@@ -117,6 +124,10 @@ bad_config = st.one_of(
     st.fixed_dictionaries({**small_config, "radices": st.dictionaries(
         st.text(max_size=3).filter(lambda k: not _parses(k, int)), st.integers(1, 5),
         min_size=1, max_size=2)}),
+    st.fixed_dictionaries({**small_config, "radices": st.dictionaries(
+        int_key_not_canonical, st.integers(1, 5), min_size=1, max_size=2)}),
+    st.fixed_dictionaries({**small_config, "radices": st.integers(1, 5).map(
+        lambda m: {str(m): 2, f"0{m}": 3})}),
     st.fixed_dictionaries({**small_config, "radices": st.dictionaries(
         st.sampled_from(["4", "5"]), not_int | below_one, min_size=1, max_size=2)}),
     st.fixed_dictionaries({**small_config, "seed": not_int.filter(lambda v: v is not None)}),

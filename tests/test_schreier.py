@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from schreierkit import (
     schreier_family,
     schreier_member,
 )
+from schreierkit.schreier import _frame_above
 
 from oracles import (
     all_subsets,
@@ -102,10 +104,47 @@ def test_membership_matches_unmemoized_recursion(s, level):
 
 def test_greedy_blocks_match_block_split_search():
     subsets = list(all_subsets(interval(1, 10)))
-    for text in ("2", "3", "w+1", "w*2+1", "w^2+2", "w^2+w+2"):
+    for text in ("2", "3", "w+1", "w*2+1", "w^2+2", "w^2+w+2", "0", "1", "5", "w", "w*2", "w^2",
+                 "w^2*2", "w^3", "w^3+w^2*2+w+1", "w^2*3+w*4+5"):
         alpha = parse_ordinal(text)
         for s in subsets:
             assert schreier_member(alpha, s) == schreier_member_naive(alpha, s), (text, s)
+
+
+def test_run_climb_matches_materialised_descent():
+    # the descent from alpha for a block with minimum e: predecessors, and
+    # stage e - 1 at limits; the frames of a run are its successor levels
+    for text in ("1", "3", "w", "w+3", "w*2", "w*3+1", "w^2", "w^2*2+w+4", "w^3*2+w^2+5", "w^4"):
+        alpha = parse_ordinal(text)
+        for e in range(2, 7):
+            frames, x = [], alpha
+            while not x.is_zero:
+                if x.is_successor:
+                    frames.append(x.terms)
+                x = x.predecessor() if x.is_successor else fundamental_sequence(x, e - 1)
+            frames.reverse()
+            for low, above in zip(frames, frames[1:] + [None]):
+                assert _frame_above(alpha.terms, e, low) == above, (text, e, low)
+
+
+def test_memory_stays_bounded_across_fresh_queries():
+    def one_round(k):
+        # a fresh ordinal and a fresh window each round; the results are dropped
+        alpha = parse_ordinal(f"w^2+w*{k}")
+        schreier_enumerate(alpha, interval(k, k + 9))
+        schreier_member(alpha, range(k, 3 * k + 4))
+
+    one_round(1)
+    tracemalloc.start()
+    try:
+        one_round(2)
+        before = tracemalloc.get_traced_memory()[0]
+        for k in range(3, 13):
+            one_round(k)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16_384, grown
 
 
 def test_long_windows_at_high_levels():

@@ -122,8 +122,11 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
     half = write(tmp_path, "half.json", {"coords": [[1, "1/2"]]})
     for nmax in ("0", "-3"):
         assert main(["gauge", "--vector", half, "--family", fam_ok, "--nmax", nmax, "--p", "2"]) == 2
-    # a list is not a radix table; r_4 = 0 would leave I_4 empty
-    for config in ({"radices": [1, 2]}, {"radices": {"4": 0}, "window_max": 4}):
+    # a list is not a radix table; r_4 = 0 would leave I_4 empty; a key is
+    # m >= 1 in plain decimal, so "4" and "04" cannot both set r_4
+    for config in ({"radices": [1, 2]}, {"radices": {"4": 0}, "window_max": 4},
+                   {"radices": {"x": 3}}, {"radices": {"4": 2, "04": 3}},
+                   {"radices": {"-4": 2}}, {"radices": {" 4": 2}}):
         assert main(["tfamily", "build", "--config", write(tmp_path, "c.json", config)]) == 2
 
 
