@@ -147,7 +147,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
         return 0
     if p.denominator == 1:
         power = norms.block_p_norm_power(x, family, p.numerator)
-        root = float(power) ** (1.0 / p.numerator)
+        root = norms.float_root(power, p.numerator)
         print(f"{root:.12g} (exact {p}-th power {format_rational(power)})")
         return 0
     print(f"{norms.baernstein_norm(x, family, p):.12g} (float path for non-integer p)")

@@ -392,6 +392,51 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
     return Fraction(best, scale)
 
 
+def best_run_sums(
+    family: Family, support: Sequence[int], weights: Sequence[int], start: int
+) -> list[int]:
+    """Best member sums on every run support[start:j], j = start+1..len(support).
+
+    ``weights[q] >= 0`` is the int weight at ``support[q]`` (increasing);
+    entry j - start - 1 of the result is the max over members s of the
+    weight s puts on support[start:j].  One iterative trie walk serves every
+    run end, for one row of the block DP.  Every trie node lies on a member's
+    path and weights are nonnegative, so a node's running sum is reached on
+    every run that holds its last counted position: it is recorded at that
+    run end and every later one (``best`` is nondecreasing in j).
+
+    A subtree whose elements sit at positions >= q may be cut when, at every
+    run end j > q, its running sum plus the weight at positions q..j-1
+    cannot beat ``best[j]``.  Testing the last run end alone decides this:
+    the walk has recorded every prefix of the path behind ``best[m]``, so
+    best[m] - best[j] is at most the weight at positions j..m-1.
+    """
+    m = len(support)
+    # ahead[q] = total weight at positions q..m-1
+    ahead = [0] * (m + 1)
+    for q in range(m - 1, start - 1, -1):
+        ahead[q] = ahead[q + 1] + weights[q]
+    best = [0] * (m + 1)
+    stack = [(family._root, 0, start)]
+    while stack:
+        node, acc, q = stack.pop()
+        if acc + ahead[q] <= best[m]:
+            continue
+        for e, child in node.children.items():
+            r = bisect.bisect_left(support, e, q)
+            if r < m and support[r] == e:
+                acc_e = acc + weights[r]
+                j = r + 1
+                while j <= m and best[j] < acc_e:
+                    best[j] = acc_e
+                    j += 1
+                if child.children:
+                    stack.append((child, acc_e, r + 1))
+            elif r < m and child.children:
+                stack.append((child, acc, r))
+    return best[start + 1 :]
+
+
 class PartitionMeasure:
     """Disjoint finite pieces I_1, I_2, ... with a probability weight on each.
 

@@ -24,6 +24,7 @@ from typing import Optional, Union
 
 from .families import Family, maximal_mask, norming_sets
 from .lp import LPResult, solve_lp_reduced
+from .norms import float_root
 from .vectors import SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
@@ -155,11 +156,11 @@ class DfjpNormResult:
 
     @property
     def value_lo(self) -> float:
-        return float(self.powered_lo) ** (1.0 / self.p)
+        return float_root(self.powered_lo, self.p)
 
     @property
     def value_hi(self) -> float:
-        return float(self.powered_hi) ** (1.0 / self.p)
+        return float_root(self.powered_hi, self.p)
 
 
 def dfjp_norm(

@@ -260,28 +260,30 @@ def solve_lp_reduced(
 
 
 def _certify(c, a_ub, b_ub, a_eq, b_eq, x, objective, dual_ub, dual_eq) -> Fraction:
-    """Check primal and dual feasibility and strong duality; return y.b."""
+    """Check primal and dual feasibility and strong duality; return y.b.
+
+    Every check is exact; terms with x_j = 0 or y_i = 0 are skipped, as they
+    add nothing to the sums.
+    """
     if any(v < 0 for v in x):
         raise LPCertificateError("primal negativity")
+    xs = [(j, v) for j, v in enumerate(x) if v]
     for row, b in zip(a_ub, b_ub):
-        if sum(a * v for a, v in zip(row, x)) > b:
+        if sum(row[j] * v for j, v in xs) > b:
             raise LPCertificateError("primal ub violation")
     for row, b in zip(a_eq, b_eq):
-        if sum(a * v for a, v in zip(row, x)) != b:
+        if sum(row[j] * v for j, v in xs) != b:
             raise LPCertificateError("primal eq violation")
-    if sum(ci * v for ci, v in zip(c, x)) != objective:
+    if sum(c[j] * v for j, v in xs) != objective:
         raise LPCertificateError("objective mismatch")
     if any(y > 0 for y in dual_ub):
         raise LPCertificateError("dual sign violation")
+    ys = [(y, row, b) for y, row, b in zip(dual_ub, a_ub, b_ub) if y]
+    ys += [(y, row, b) for y, row, b in zip(dual_eq, a_eq, b_eq) if y]
     for j, cj in enumerate(c):
-        reduced = cj
-        reduced -= sum(y * row[j] for y, row in zip(dual_ub, a_ub))
-        reduced -= sum(y * row[j] for y, row in zip(dual_eq, a_eq))
-        if reduced < 0:
+        if cj - sum(y * row[j] for y, row, _ in ys) < 0:
             raise LPCertificateError("dual feasibility violation")
-    dual_obj = sum((y * b for y, b in zip(dual_ub, b_ub)), Fraction(0)) + sum(
-        (y * b for y, b in zip(dual_eq, b_eq)), Fraction(0)
-    )
+    dual_obj = sum((y * b for y, _, b in ys), Fraction(0))
     if dual_obj != objective:
         raise LPCertificateError("strong duality violation")
     return dual_obj

@@ -7,14 +7,17 @@ The central object is the family norm
 computed exactly in rationals by branch-and-bound on the family trie.  The
 block-aggregated (Baernstein-style) norm, epsilon-support families, uniform
 weak bounds, spreading-model constants (via exact LP) and Cesaro profiles
-are all derived from it.
+are all derived from it.  The block norm's interval DP takes, for each row
+i, the norms of every run support[i:j] from one trie walk
+(:func:`~schreierkit.families.best_run_sums`), not one walk per run.
 
 Exactness policy: everything is rational; p-th roots are deferred to output
-formatting.  For integer p the p-powered block norm is the canonical exact
-result (see :func:`block_p_norm_power`).  Member scans (the trie walk of
-:func:`~schreierkit.families.best_set_sum`, eps-supports and the uniform weak
-bound) scale their inputs once by the lcm of the denominators and then add
-and compare Python ints; this is still exact and uses no floats.
+formatting (:func:`float_root`).  For integer p the p-powered block norm is
+the canonical exact result (see :func:`block_p_norm_power`).  Member scans
+(the trie walks of :func:`~schreierkit.families.best_set_sum` and of the
+block DP's rows, eps-supports and the uniform weak bound) scale their inputs
+once by the lcm of the denominators and then add and compare Python ints;
+this is still exact and uses no floats.
 """
 
 from __future__ import annotations
@@ -25,7 +28,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from .families import Family, best_set_sum, finite_set, maximal_mask, norming_sets
+from .families import (
+    Family,
+    best_run_sums,
+    best_set_sum,
+    finite_set,
+    maximal_mask,
+    norming_sets,
+)
 from .lp import LPResult, solve_lp_reduced
 from .schreier import OrdinalCNF, schreier_enumerate
 from .vectors import SparseVector
@@ -54,7 +64,10 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
     is attained on partitions of the support into consecutive intervals
     (dropping points or leaving gaps never helps, by coordinatewise
     monotonicity of the family norm), so an interval dynamic program over
-    the support positions is exact.
+    the support positions is exact.  Row i of the DP gets the norms of all
+    runs support[i:j] from one walk of the family trie on the |x_k| scaled
+    to ints once per call, so a support of size m costs m walks, not
+    m(m+1)/2.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -62,14 +75,22 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
 
 
 def _block_dp(x: SparseVector, family: Family, power: Callable[[Fraction], T]) -> T:
+    # the |x_k| as ints over one common denominator; runs[i][j - i - 1] is
+    # ||x restricted to support[i:j]||_F in those units: the larger of the top
+    # weight and the best member sum on the run, one trie walk per row i
+    support = x.support
+    scale = math.lcm(*(v.denominator for _, v in x.items()))
+    weights = [abs(v.numerator) * (scale // v.denominator) for _, v in x.items()]
+    runs = [
+        list(map(max, itertools.accumulate(weights[i:], max),
+                 best_run_sums(family, support, weights, i)))
+        for i in range(len(support))
+    ]
     # best[j]: largest sum of power(||run||_F) over cuts of support[:j] into runs;
     # best[0] = power(0) is the empty sum in the caller's number type
-    support = x.support
     best = [power(Fraction(0))]
     for j in range(1, len(support) + 1):
-        best.append(
-            max(best[i] + power(f_norm(x.restrict(support[i:j]), family)) for i in range(j))
-        )
+        best.append(max(best[i] + power(Fraction(runs[i][j - i - 1], scale)) for i in range(j)))
     return best[-1]
 
 
@@ -79,7 +100,8 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
     For other p the exact p-powered value is computed when p is an integer
     (take the root yourself via :func:`block_p_norm_power` if you need it
     exactly); the returned float is its correctly rounded p-th root.  Rational
-    non-integer p falls back to float arithmetic throughout.
+    non-integer p falls back to float arithmetic throughout, and a sum of
+    powers past float range is refused with ValueError.
     """
     if _is_inf(p):
         return f_norm(x, family)
@@ -90,9 +112,34 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
         power = block_p_norm_power(x, family, p.numerator)
         if p == 1:
             return power
-        return float(power) ** (1.0 / p.numerator)
+        return float_root(power, p.numerator)
     q = float(p)
-    return _block_dp(x, family, lambda v: float(v) ** q) ** (1.0 / q)
+    try:
+        total = _block_dp(x, family, lambda v: float(v) ** q)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise ValueError(f"p = {p}: the float block norm overflows; an integer p is exact")
+    return total ** (1.0 / q)
+
+
+def float_root(power: Fraction, p: int) -> float:
+    """The p-th root of an exact power as a float.
+
+    When float(power) would overflow, 2^t with t about log2(power) is
+    factored out first, so the scaled power lies in (1/2, 2), and the root is
+    scaled back by 2^(t/p); otherwise nothing is factored out.  A root that
+    does not fit a float is refused with ValueError.
+    """
+    try:
+        return float(power) ** (1.0 / p)
+    except OverflowError:
+        pass
+    t = power.numerator.bit_length() - power.denominator.bit_length()
+    try:
+        return float(power / 2**t) ** (1.0 / p) * 2.0 ** (t / p)
+    except OverflowError:
+        raise ValueError(f"the {p}-th root of a {t}-bit power does not fit a float") from None
 
 
 @dataclass(frozen=True)

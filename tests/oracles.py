@@ -34,31 +34,43 @@ def schreier_member_direct(s) -> bool:
 
 
 def schreier_member_naive(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
-    """Membership in S_alpha by unmemoized search over every block split.
+    """Membership in S_alpha by exhaustive search over every block split.
 
     A successor level tries every cut of s into at most min s consecutive
     blocks; a limit level tries every stage n < min s of its fundamental
-    sequence.
+    sequence.  Answers for (ordinal, set) pairs are memoized within this one
+    call only, so no state outlives it.
     """
-    if not s:
-        return True
-    if alpha.is_zero:
-        return len(s) <= 1
-    if alpha.is_limit:
-        return any(schreier_member_naive(fundamental_sequence(alpha, n), s) for n in range(s[0]))
-    delta = alpha.predecessor()
+    memo: dict[tuple[OrdinalCNF, tuple[int, ...]], bool] = {}
 
-    def splits(rest, blocks_left):
-        if not rest:
+    def member(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
+        key = (alpha, s)
+        if key not in memo:
+            memo[key] = decide(alpha, s)
+        return memo[key]
+
+    def decide(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
+        if not s:
             return True
-        if blocks_left == 0:
-            return False
-        return any(
-            schreier_member_naive(delta, rest[:cut]) and splits(rest[cut:], blocks_left - 1)
-            for cut in range(1, len(rest) + 1)
-        )
+        if alpha.is_zero:
+            return len(s) <= 1
+        if alpha.is_limit:
+            return any(member(fundamental_sequence(alpha, n), s) for n in range(s[0]))
+        delta = alpha.predecessor()
 
-    return splits(s, s[0])
+        def splits(rest, blocks_left):
+            if not rest:
+                return True
+            if blocks_left == 0:
+                return False
+            return any(
+                member(delta, rest[:cut]) and splits(rest[cut:], blocks_left - 1)
+                for cut in range(1, len(rest) + 1)
+            )
+
+        return splits(s, s[0])
+
+    return member(alpha, tuple(s))
 
 
 def schreier_level_member(level: int, s: tuple[int, ...]) -> bool:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schreierkit import (
@@ -26,6 +26,9 @@ from schreierkit import (
     trace,
     uniform_weak_bound,
 )
+
+from schreierkit.families import best_run_sums
+from schreierkit.norms import float_root
 
 from oracles import block_power_brute, family_norm_brute
 
@@ -107,6 +110,22 @@ def test_block_norm_examples():
         baernstein_norm(x, S8, Fraction(1, 2))
 
 
+def test_float_root_past_float_range():
+    for power, p in ((Fraction(200), 2), (Fraction(1, 3), 3), (Fraction(0), 5)):
+        assert float_root(power, p) == float(power) ** (1.0 / p)
+    assert float_root(Fraction(2 * 10**400), 400) == pytest.approx(10 * 2 ** (1 / 400), rel=1e-14)
+    assert float_root(Fraction(3 * 10**5000, 7), 5000) == pytest.approx(
+        10 * (3 / 7) ** (1 / 5000), rel=1e-13
+    )
+    with pytest.raises(ValueError):
+        float_root(Fraction(10**700), 2)  # the root 10^350 is past float range too
+    x = SparseVector({1: 10, 3: 10})
+    fam = Family([[1, 2], [2, 3]])
+    assert baernstein_norm(x, fam, 400) == float_root(Fraction(2 * 10**400), 400)
+    with pytest.raises(ValueError, match="701/2"):
+        baernstein_norm(x, fam, Fraction(701, 2))
+
+
 def test_block_norm_p1_is_l1():
     x = SparseVector({2: Fraction(1, 2), 5: Fraction(-1, 3), 7: 2})
     assert baernstein_norm(x, S8, 1) == x.l1_norm()
@@ -127,6 +146,36 @@ def test_block_dp_matches_bruteforce_all_decompositions():
         for p in (1, 2, 3):
             assert block_p_norm_power(x, S8, p) == block_power_brute(coords, S8.members(), p)
         assert baernstein_norm(x, S8, float("inf")) == f_norm(x, S8)
+
+
+# non-hereditary families on 1..10 around supports inside 2..9: members may be
+# empty, leave the support on both sides, or share a trace on it
+members_strategy = st.lists(st.lists(st.integers(1, 10), max_size=6, unique=True), max_size=8)
+block_coords = st.dictionaries(
+    st.integers(2, 9), st.fractions(min_value=-3, max_value=3, max_denominator=12), max_size=7
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(members_strategy, block_coords, st.sets(st.integers(0, 6)))
+@example([[], [1, 3, 10], [3, 10], [1, 3], [5, 6, 7]], {3: 1, 5: Fraction(1, 2), 7: 2}, {1})
+@example([[1, 10], []], {4: Fraction(-2, 3), 6: 1}, set())
+def test_block_rows_match_segment_norms(members, coords, zeroed):
+    fam = Family(members)
+    x = SparseVector(coords)
+    support = x.support
+    scale = math.lcm(*(v.denominator for v in coords.values() if v))
+    weights = [abs(v.numerator) * (scale // v.denominator) for _, v in x.items()]
+    for ws in (weights, [0 if q in zeroed else w for q, w in enumerate(weights)]):
+        for i in range(len(support)):
+            row = best_run_sums(fam, support, ws, i)
+            assert len(row) == len(support) - i
+            for j, total in enumerate(row, start=i + 1):
+                segment = {support[q]: Fraction(ws[q], scale) for q in range(i, j)}
+                got = Fraction(max(max(ws[i:j]), total), scale)
+                assert got == family_norm_brute(fam.members(), segment), (i, j)
+    for p in (1, 2, 3):
+        assert block_p_norm_power(x, fam, p) == block_power_brute(coords, fam.members(), p)
 
 
 def test_block_lower_bound_scaled_claim():

@@ -130,6 +130,23 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
         assert main(["tfamily", "build", "--config", write(tmp_path, "c.json", config)]) == 2
 
 
+def test_cli_norm_roots_powers_past_float_range(tmp_path, capsys):
+    # two unit-norm blocks of weight 10: the exact 400-th power 2 * 10^400 is
+    # past float range, its root 10 * 2^(1/400) is not
+    vec = write(tmp_path, "x.json", {"coords": [[1, 10], [3, 10]]})
+    fam = write(tmp_path, "f.json", {"sets": [[1, 2], [2, 3]]})
+    assert main(["norm", "--family", fam, "--vector", vec, "--p", "400"]) == 0
+    root = float(capsys.readouterr().out.split()[0])
+    assert root == pytest.approx(10 * 2 ** (1 / 400), rel=1e-11)
+    # the float path for non-integer p cannot hold 2 * 10^350.5: refused, naming p
+    assert main(["norm", "--family", fam, "--vector", vec, "--p", "701/2"]) == 2
+    assert "701/2" in capsys.readouterr().err
+    # the gauge's p-aggregation takes its roots the same way
+    big = write(tmp_path, "big.json", {"coords": [[1, 1000], [2, 1]]})
+    assert main(["gauge", "--vector", big, "--family", fam, "--nmax", "3", "--p", "200"]) == 0
+    assert "levels 1..3: value in [" in capsys.readouterr().out
+
+
 def test_cli_family_ops(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", {"sets": [[1, 2]], "hereditary": None})
     assert main(["family", "--op", "closure", "--input", fpath]) == 0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierkit import SparseVector, solve_lp
-from schreierkit.lp import LPCertificateError, solve_lp_reduced
+from schreierkit.lp import LPCertificateError, _certify, solve_lp_reduced
 from schreierkit.oracles import lp_vertex_optimum
 
 
@@ -152,3 +152,38 @@ def test_reduced_lp_answers_for_every_row():
     # the optimum found is x = 1, so x <= 1/2 is not implied and fails the check
     with pytest.raises(LPCertificateError):
         solve_lp_reduced(c, a_ub, [Fraction(1, 2), 1, 1], [False, True, False])
+
+
+def test_certify_rejects_every_broken_certificate():
+    # min -x - y over x + 2y <= 4, 3x + y <= 6, x <= 10, x - y = 0: optimum at
+    # x = y = 4/3; the row x <= 10 is slack, so its dual is 0
+    c = [Fraction(-1), Fraction(-1)]
+    a_ub = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)], [Fraction(1), Fraction(0)]]
+    b_ub = [Fraction(4), Fraction(6), Fraction(10)]
+    a_eq, b_eq = [[Fraction(1), Fraction(-1)]], [Fraction(0)]
+    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    assert res.optimal and res.x == [Fraction(4, 3), Fraction(4, 3)]
+    assert res.dual_ub[2] == 0
+    good = (res.x, res.objective, res.dual_ub, res.dual_eq)
+    dual_obj = _certify(c, a_ub, b_ub, a_eq, b_eq, *good)
+    assert type(dual_obj) is Fraction and dual_obj == res.objective
+
+    def broken(i, j, delta):
+        parts = [list(v) if isinstance(v, list) else v for v in good]
+        if j is None:
+            parts[i] += delta
+        else:
+            parts[i][j] += delta
+        return parts
+
+    for i, j, delta, check in (
+        (0, 0, Fraction(-5, 3), "primal negativity"),
+        (0, 0, Fraction(1, 3), "primal ub violation"),
+        (0, 1, Fraction(-1, 3), "primal eq violation"),
+        (1, None, Fraction(-1), "objective mismatch"),
+        (2, 2, Fraction(1), "dual sign violation"),
+        (3, 0, Fraction(1, 5), "dual feasibility violation"),
+        (2, 2, Fraction(-1), "strong duality violation"),  # a zero dual made nonzero
+    ):
+        with pytest.raises(LPCertificateError, match=check):
+            _certify(c, a_ub, b_ub, a_eq, b_eq, *broken(i, j, delta))
