@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -55,7 +55,14 @@ def _parse_set(text: str) -> tuple[int, ...]:
 
 
 def _print_exact(value: Fraction) -> None:
-    print(f"{format_rational(value)} (= {float(value):.12g})")
+    try:
+        approx = f"{float(value):.12g}"
+    except OverflowError:
+        # past float range, a 12-digit Decimal quotient stands in for it
+        with localcontext() as ctx:
+            ctx.prec, ctx.Emax = 12, MAX_EMAX
+            approx = f"{(Decimal(value.numerator) / value.denominator).normalize():.12g}"
+    print(f"{format_rational(value)} (= {approx})")
 
 
 def _emit(text: str, path: Optional[str]) -> None:

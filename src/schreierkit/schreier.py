@@ -27,7 +27,12 @@ the next element goes, and s has a member extension exactly when its chain
 is nonempty.  A fresh block's frames all hold one block and minimum e, and
 they depend only on the level and e, so the chain keeps them as one lazy run
 (see :func:`_frame_above`); at omega^4*3 and e = 20 that run stands for
-390,963 frames.  All functions are pure.
+390,963 frames.
+
+The block product of S_alpha and S_1 on a window is S_{alpha+1} there, so
+:func:`check_inclusion` walks S_{alpha+1} with the states of both levels and
+builds no product: per minimum it stops at the first member outside S_beta.
+All functions are pure.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .families import Family, FiniteSet, _Node, finite_set, otimes
+from .families import Family, FiniteSet, _Node, finite_set
 
 MAX_WINDOW = 24
 
@@ -269,27 +274,40 @@ class InclusionReport:
 def check_inclusion(alpha: OrdinalCNF, beta: OrdinalCNF, window: Iterable[int]) -> InclusionReport:
     """Smallest shift n <= #window after which the block product lands in S_beta.
 
-    One walk over the product trie carries the S_beta state of each member
-    and collects the members outside S_beta.  The shift is one past the
-    largest minimum among them; past the window, the report fails with the
-    first of them in trie order, which has the smallest minimum.
+    The block product of S_alpha and S_1 on the window, the unions of at most
+    min(s) consecutive S_alpha-blocks, is S_{alpha+1} on the window.  For each
+    first element e, a depth-first walk over the members of S_{alpha+1} in
+    trie order carries the states of both levels and stops at the first
+    member outside S_beta: S_beta is hereditary, so that is the first child
+    of the first prefix whose S_beta state is empty.  The shift is one past
+    the largest e with such a bad set; past the window, the report fails with
+    the bad set of the smallest e, the first one in trie order.
     """
     if not alpha < beta:
         raise ValueError(f"need alpha < beta, got {alpha} vs {beta}")
     w = finite_set(window)
-    product = otimes(schreier_enumerate(alpha, w), schreier_family(w), w)
+    n = len(w)
+    if n > MAX_WINDOW:
+        raise ValueError(f"window of size {n} exceeds the limit {MAX_WINDOW}")
+    # _start(alpha) holds the level alpha + 1 as its term tuple
+    product = _start(OrdinalCNF(_start(alpha)[0]))
+    target = _start(beta)
     bad: list[FiniteSet] = []
-    # a prefix outside S_beta has state None; S_beta is hereditary, so every
-    # member below that prefix is bad as well
-    stack = [(product._root, (), _start(beta))]
-    while stack:
-        node, prefix, state = stack.pop()
-        if node.terminal and state is None:
-            bad.append(prefix)
-        for e in sorted(node.children, reverse=True):
-            stack.append((node.children[e], prefix + (e,), _step(state, e) if state else None))
-    # an empty bad set would admit no shift, so it counts as past the window
-    shift = 1 + max((s[0] if s else len(w) for s in bad), default=0)
-    if shift > len(w):
+    for i, e in enumerate(w[:-1]):
+        # every node on the stack is in S_{alpha+1} and in S_beta and has a
+        # child: its S_{alpha+1} state is nonempty and start < n
+        state = _step(product, e)
+        stack = [((e,), state, _step(target, e), i + 1)] if state else []
+        while stack:
+            prefix, state, inside, start = stack.pop()
+            if not inside:
+                bad.append(prefix + (w[start],))
+                break
+            for j in range(n - 2, start - 1, -1):
+                nxt = _step(state, w[j])
+                if nxt:
+                    stack.append((prefix + (w[j],), nxt, _step(inside, w[j]), j + 1))
+    shift = 1 + (bad[-1][0] if bad else 0)
+    if shift > n:
         return InclusionReport(False, None, bad[0] if bad else None, w)
     return InclusionReport(True, shift, None, w)

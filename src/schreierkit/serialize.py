@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -51,9 +52,11 @@ def _set_array(value: Any, what: str = "set") -> list:
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
+    # Decimal prints every digit of a large int; str() refuses past 4300
+    numerator = Decimal(value.numerator)
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return str(numerator)
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 def family_to_obj(family: Family) -> dict:

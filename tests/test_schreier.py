@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierkit import (
+    InclusionReport,
     OrdinalCNF,
     barrier_member,
     bounded_cardinality_family,
@@ -23,6 +25,7 @@ from schreierkit.schreier import _frame_above
 
 from oracles import (
     all_subsets,
+    block_decomposable,
     schreier_level_member,
     schreier_member_direct,
     schreier_member_naive,
@@ -269,3 +272,66 @@ def test_product_recursion_cross_checks():
     s1 = schreier_family(w)
     assert otimes(bounded_cardinality_family(w, 1), s1, w) == schreier_enumerate(ONE, w)
     assert otimes(s1, s1, w) == schreier_enumerate(TWO, w)
+    # the premise of check_inclusion: (S_alpha x S_1) on w is S_{alpha+1} on
+    # w; comparing member lists pins the trie order as well
+    windows = [interval(1, n) for n in range(11)] + [(3, 4, 6, 7, 8, 11, 12), (2, 5, 9, 10, 14, 15, 16, 20)]
+    for alpha, successor in (("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("w", "w+1"), ("w+1", "w+2"),
+                             ("w*2", "w*2+1"), ("w^2", "w^2+1"), ("w^2+w", "w^2+w+1")):
+        a, b = parse_ordinal(alpha), parse_ordinal(successor)
+        for w in windows:
+            product = otimes(schreier_enumerate(a, w), schreier_family(w), w)
+            assert product.members() == schreier_enumerate(b, w).members(), (alpha, w)
+
+
+class _Members:
+    """A membership predicate as a container, as block_decomposable wants."""
+
+    def __init__(self, member):
+        self.member = functools.lru_cache(maxsize=None)(member)
+
+    def __contains__(self, s):
+        return self.member(tuple(s))
+
+
+def _inclusion_brute(alpha, beta, w):
+    """The report from the definition: product members that leave S_beta."""
+    blocks = _Members(lambda s: schreier_member_naive(alpha, s))
+    minima = _Members(schreier_member_direct)
+    bad = [
+        s for s in all_subsets(w)
+        if block_decomposable(s, blocks, minima) and not schreier_member_naive(beta, s)
+    ]
+    shift = 1 + max((s[0] for s in bad), default=0)
+    if shift > len(w):
+        return InclusionReport(False, None, min(bad, default=None), w)
+    return InclusionReport(True, shift, None, w)
+
+
+def test_check_inclusion_matches_the_definition():
+    ordinals = [parse_ordinal(t) for t in ("0", "1", "2", "w", "w+1", "w*2", "w^2")]
+    windows = [interval(1, n) for n in range(9)] + [
+        (2, 3, 5, 8, 9, 11), (3, 4, 5, 6, 7, 8, 9, 10), (1, 4, 6, 7, 12, 13, 20)]
+    for alpha, beta in itertools.combinations(ordinals, 2):
+        for w in windows:
+            assert check_inclusion(alpha, beta, w) == _inclusion_brute(alpha, beta, w), (alpha, beta, w)
+    assert check_inclusion(ONE, OMEGA, ()) == InclusionReport(False, None, None, ())
+
+
+def test_check_inclusion_shift_comes_from_the_largest_bad_minimum():
+    # Every bad set of at most 8 elements has minimum 2, so the windows
+    # above cannot tell the largest bad minimum from the smallest.  On
+    # 1..24, {2,3,4} is in S_3 but not in S_w (stage 1 = S_1), and so is
+    # {3..24}: 22 elements, one more than S_2 takes from 3.  From minimum 4
+    # on, S_w is S_{min - 1}, which contains S_3, so the shift is 4.
+    three = parse_ordinal("3")
+    for bad in ((2, 3, 4), tuple(range(3, 25))):
+        assert schreier_member_naive(three, bad) and not schreier_member_naive(OMEGA, bad)
+    assert check_inclusion(TWO, OMEGA, interval(1, 24)) == InclusionReport(True, 4, None, interval(1, 24))
+
+
+def test_check_inclusion_refusals():
+    with pytest.raises(ValueError, match="limit 24"):
+        check_inclusion(ONE, TWO, interval(1, 25))
+    for alpha, beta in ((TWO, TWO), (OMEGA, TWO)):
+        with pytest.raises(ValueError, match="need alpha < beta"):
+            check_inclusion(alpha, beta, interval(1, 4))

@@ -147,6 +147,22 @@ def test_cli_norm_roots_powers_past_float_range(tmp_path, capsys):
     assert "levels 1..3: value in [" in capsys.readouterr().out
 
 
+def test_cli_norm_prints_exact_values_past_float_range(tmp_path, capsys):
+    fam = write(tmp_path, "f.json", {"sets": [[1, 2], [2, 3]]})
+    # a norm of 10^330 has no float; its approximation comes from Decimal
+    big = write(tmp_path, "big.json", {"coords": [[1, "1" + "0" * 330]]})
+    for p in ([], ["--p", "1"], ["--p", "inf"]):
+        assert main(["norm", "--family", fam, "--vector", big, *p]) == 0
+        assert capsys.readouterr().out == f"1{'0' * 330} (= 1e+330)\n"
+    # the exact 5000-th power 2 * 10^5000 has more digits than str() prints
+    vec = write(tmp_path, "x.json", {"coords": [[1, 10], [3, 10]]})
+    assert main(["norm", "--family", fam, "--vector", vec, "--p", "5000"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(f" (exact 5000-th power 2{'0' * 5000})\n")
+    assert float(out.split()[0]) == pytest.approx(10 * 2 ** (1 / 5000), rel=1e-11)
+    assert format_rational(Fraction(-(10 ** 5000), 3)) == f"-1{'0' * 5000}/3"
+
+
 def test_cli_family_ops(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", {"sets": [[1, 2]], "hereditary": None})
     assert main(["family", "--op", "closure", "--input", fpath]) == 0
