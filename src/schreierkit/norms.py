@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .families import (
     Family,
+    FiniteSet,
     best_run_sums,
     best_set_sum,
     finite_set,
@@ -43,7 +45,7 @@ from .vectors import SparseVector
 PValue = Union[int, Fraction, float]  # float only for math.inf
 T = TypeVar("T", Fraction, float)
 
-#: sign-pattern enumeration cutoff for `uniform_weak_bound`
+#: sign-pattern enumeration cutoff for the eps-support scan
 MAX_SIGN_PATTERNS = 2**20
 
 
@@ -146,19 +148,41 @@ def float_root(power: Fraction, p: int) -> float:
 class NormingSpec:
     """A norming set induced by a family: signed indicator functionals.
 
-    Describes N = {+-e_k*} union {sum_{k in s} +- e_k* : s in base_family};
-    the singleton functionals can be switched off.
+    Describes N = {+-e_k*} union {sum_{k in s} +- e_k* : s in base_family},
+    the singleton functionals always included.
     """
 
     base_family: Family
-    include_singletons: bool = True
 
 
-def _scaled(xs: Sequence[SparseVector], eps: Fraction) -> tuple[list[dict[int, int]], int]:
-    """The vectors and eps times the lcm of all their denominators, as ints."""
+def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> Iterator[FiniteSet]:
+    """The eps-supports {n : |f(x_n)| >= eps} of the norming functionals.
+
+    A functional acts on the x_n only through its trace on their union
+    support, so the sets of :func:`~schreierkit.families.norming_sets` cover
+    them all.  Where every x_n is sign-definite on a set, the all-plus
+    pattern reaches sum_k |(x_n)_k| for every n at once, so its support
+    contains every other pattern's; otherwise each sign pattern is tried
+    with the first sign fixed (f and -f share a support), refused beyond
+    MAX_SIGN_PATTERNS.  Inputs are scaled to ints once by the common lcm.
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     scale = math.lcm(eps.denominator, *(v.denominator for x in xs for _, v in x.items()))
     ints = [{k: v.numerator * (scale // v.denominator) for k, v in x.items()} for x in xs]
-    return ints, eps.numerator * (scale // eps.denominator)
+    bar = eps.numerator * (scale // eps.denominator)
+    for s in norming_sets(family, finite_set({k for x in xs for k in x.support})):
+        rows = [[x.get(k, 0) for k in s] for x in ints]
+        definite = all(min(row) >= 0 or max(row) <= 0 for row in rows)
+        if not definite and 2 ** (len(s) - 1) > MAX_SIGN_PATTERNS:
+            raise ValueError(f"sign enumeration over {len(s)} coordinates refused")
+        for signs in itertools.product((1,) if definite else (1, -1), repeat=len(s) - 1):
+            theta = (1, *signs)
+            yield tuple(
+                n for n, row in enumerate(rows, start=1)
+                if abs(sum(map(operator.mul, theta, row))) >= bar
+            )
 
 
 def eps_support_family(
@@ -166,67 +190,22 @@ def eps_support_family(
 ) -> Family:
     """The family of eps-supports {n : |f(x_n)| >= eps} over the norming set.
 
-    For each base set the sign pattern matching the coordinates maximizes
-    |f(x_n)| for every n simultaneously on sign-definite data, and dominates
-    coordinatewise in general, so the recorded set per base member is
-    {n : sum_{k in s} |(x_n)_k| >= eps}.  Singleton functionals contribute
-    their own supports, and the empty set is always present (the norming set
-    contains functionals supported away from every x_n).
+    Every member is the eps-support of some functional in the norming set,
+    and every such eps-support lies inside a member, so the largest member
+    has :func:`uniform_weak_bound` elements.  The empty set is always present
+    (the norming set contains functionals supported away from every x_n).
+    Refused, as the weak bound is, beyond MAX_SIGN_PATTERNS sign patterns.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ints, eps_int = _scaled(xs, eps)
-    union_supp = sorted({k for x in xs for k in x.support})
-    sets: list[tuple[int, ...]] = [()]
-    if spec.include_singletons:
-        for k in union_supp:
-            sets.append(tuple(n for n, x in enumerate(ints, start=1) if abs(x.get(k, 0)) >= eps_int))
-    for s in spec.base_family:
-        hits = []
-        for n, x in enumerate(ints, start=1):
-            if sum(abs(x.get(k, 0)) for k in s) >= eps_int:
-                hits.append(n)
-        sets.append(tuple(hits))
-    return Family(sets)
+    return Family([(), *_eps_supports(xs, spec.base_family, eps)])
 
 
 def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fraction) -> int:
     """max over functionals f in the norming set of #{n : |f(x_n)| >= eps}.
 
-    Exact: for sign-definite data the coordinate-matching pattern is globally
-    optimal; otherwise all sign patterns on the relevant coordinates are
-    enumerated (refused beyond 2^20 patterns).
+    The largest eps-support of the scan behind :func:`eps_support_family`,
+    or 0 when there is none; exact, refused beyond MAX_SIGN_PATTERNS.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ints, eps_int = _scaled(xs, eps)
-    best = 0
-    union_supp = {k for x in xs for k in x.support}
-    if spec.include_singletons:
-        for k in sorted(union_supp):
-            best = max(best, sum(1 for x in ints if abs(x.get(k, 0)) >= eps_int))
-    for s in spec.base_family:
-        rel = [k for k in s if k in union_supp]
-        if not rel:
-            continue
-        rows = [[x.get(k, 0) for k in rel] for x in ints]
-        definite = all(all(v >= 0 for v in row) or all(v <= 0 for v in row) for row in rows)
-        if definite:
-            cnt = sum(1 for row in rows if sum(map(abs, row)) >= eps_int)
-            best = max(best, cnt)
-            continue
-        if 2 ** (len(rel) - 1) > MAX_SIGN_PATTERNS:
-            raise ValueError(f"sign enumeration over {len(rel)} coordinates refused")
-        for signs in itertools.product((1, -1), repeat=len(rel) - 1):
-            theta = (1,) + signs
-            cnt = 0
-            for row in rows:
-                if abs(sum(t * v for t, v in zip(theta, row))) >= eps_int:
-                    cnt += 1
-            best = max(best, cnt)
-    return best
+    return max(map(len, _eps_supports(xs, spec.base_family, eps)), default=0)
 
 
 @dataclass(frozen=True)

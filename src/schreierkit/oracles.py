@@ -3,16 +3,15 @@
 No trie, no branch-and-bound, no interval DP and no pigeonhole shortcut: the
 family norm scans every member, the block norm enumerates every block
 sequence through its trace on the support, block products try every cut,
-digit sets and disequality systems are enumerated tuple by tuple, and a
-linear program is solved by visiting every vertex.  The verify suites and
-the tests check the fast paths against these, so this module imports nothing
-but the standard library.
+and digit sets and disequality systems are enumerated tuple by tuple.  The
+verify suites and the tests check the fast paths against these, so this
+module imports nothing but the standard library.  Oracles that only the
+tests use live in the tests' own ``oracles`` module.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 
 def family_norm_brute(members, x):
@@ -98,50 +97,3 @@ def disequality_solutions(constraints, radix):
         assign = dict(zip(keys, digits))
         if all(assign[a] != assign[b] for a, b in constraints):
             yield assign
-
-
-def _solve_square(rows, rhs):
-    """The unique solution of a square system by Fraction Gaussian elimination, or None."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col] / aug[col][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] / aug[i][i] for i in range(n)]
-
-
-def lp_vertex_optimum(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
-    """min c.x over A_ub x <= b_ub, A_eq x = b_eq, x >= 0 by visiting every vertex.
-
-    A vertex is a feasible point where n independent constraints hold with
-    equality; each n-subset of the constraints (the rows and x_j >= 0) is
-    solved as a square system.  The region lies in x >= 0, so it has a
-    vertex whenever it is nonempty.  Returns the least objective over the
-    vertices, or None when there is none (the LP is infeasible).  Exact for
-    LPs with an optimum; the caller keeps the region bounded.
-    """
-    n = len(c)
-    bounds = [[int(i == j) for i in range(n)] for j in range(n)]
-    cons = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq)) + [(row, 0) for row in bounds]
-
-    def dot(row, x):
-        return sum((a * v for a, v in zip(row, x)), Fraction(0))
-
-    best = None
-    for tight in itertools.combinations(cons, n):
-        x = _solve_square([row for row, _ in tight], [b for _, b in tight])
-        if x is None or any(v < 0 for v in x):
-            continue
-        if any(dot(row, x) > b for row, b in zip(a_ub, b_ub)):
-            continue
-        if any(dot(row, x) != b for row, b in zip(a_eq, b_eq)):
-            continue
-        if best is None or dot(c, x) < best:
-            best = dot(c, x)
-    return best

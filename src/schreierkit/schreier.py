@@ -31,7 +31,8 @@ they depend only on the level and e, so the chain keeps them as one lazy run
 
 The block product of S_alpha and S_1 on a window is S_{alpha+1} there, so
 :func:`check_inclusion` walks S_{alpha+1} with the states of both levels and
-builds no product: per minimum it stops at the first member outside S_beta.
+builds no product: from the largest minimum down, it stops at the first
+member outside S_beta.
 All functions are pure.
 """
 
@@ -275,13 +276,16 @@ def check_inclusion(alpha: OrdinalCNF, beta: OrdinalCNF, window: Iterable[int]) 
     """Smallest shift n <= #window after which the block product lands in S_beta.
 
     The block product of S_alpha and S_1 on the window, the unions of at most
-    min(s) consecutive S_alpha-blocks, is S_{alpha+1} on the window.  For each
-    first element e, a depth-first walk over the members of S_{alpha+1} in
-    trie order carries the states of both levels and stops at the first
-    member outside S_beta: S_beta is hereditary, so that is the first child
-    of the first prefix whose S_beta state is empty.  The shift is one past
-    the largest e with such a bad set; past the window, the report fails with
-    the bad set of the smallest e, the first one in trie order.
+    min(s) consecutive S_alpha-blocks, is S_{alpha+1} on the window.  First
+    elements e are tried from the largest down; for each, a depth-first walk
+    over the members of S_{alpha+1} carries the states of both levels and
+    stops at the first member outside S_beta: S_beta is hereditary, so that
+    is a child of a prefix whose S_beta state is empty.  The shift is one
+    past the first e with such a bad set.
+
+    A bad set s has #s > min s, because S_1 lies in S_beta, so 1 + min s <=
+    #window: the report fails only on an empty window, and
+    ``counterexample`` is always None.
     """
     if not alpha < beta:
         raise ValueError(f"need alpha < beta, got {alpha} vs {beta}")
@@ -289,25 +293,22 @@ def check_inclusion(alpha: OrdinalCNF, beta: OrdinalCNF, window: Iterable[int]) 
     n = len(w)
     if n > MAX_WINDOW:
         raise ValueError(f"window of size {n} exceeds the limit {MAX_WINDOW}")
+    if not w:
+        return InclusionReport(False, None, None, w)
     # _start(alpha) holds the level alpha + 1 as its term tuple
     product = _start(OrdinalCNF(_start(alpha)[0]))
     target = _start(beta)
-    bad: list[FiniteSet] = []
-    for i, e in enumerate(w[:-1]):
+    for i in range(n - 2, -1, -1):
         # every node on the stack is in S_{alpha+1} and in S_beta and has a
         # child: its S_{alpha+1} state is nonempty and start < n
-        state = _step(product, e)
-        stack = [((e,), state, _step(target, e), i + 1)] if state else []
+        state = _step(product, w[i])
+        stack = [(state, _step(target, w[i]), i + 1)] if state else []
         while stack:
-            prefix, state, inside, start = stack.pop()
+            state, inside, start = stack.pop()
             if not inside:
-                bad.append(prefix + (w[start],))
-                break
+                return InclusionReport(True, 1 + w[i], None, w)
             for j in range(n - 2, start - 1, -1):
                 nxt = _step(state, w[j])
                 if nxt:
-                    stack.append((prefix + (w[j],), nxt, _step(inside, w[j]), j + 1))
-    shift = 1 + (bad[-1][0] if bad else 0)
-    if shift > n:
-        return InclusionReport(False, None, bad[0] if bad else None, w)
-    return InclusionReport(True, shift, None, w)
+                    stack.append((nxt, _step(inside, w[j]), j + 1))
+    return InclusionReport(True, 1, None, w)

@@ -300,7 +300,7 @@ def barrier_window_members(window_max: int) -> list[FiniteSet]:
         rest = range(n1 + 1, window_max + 1)
         for tail in itertools.combinations(rest, n1 - 1):
             out.append((n1,) + tail)
-    return sorted(out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -481,16 +481,13 @@ def transversal_norm(
         raise ValueError("one coefficient per point required")
     coeffs = [abs(Fraction(c)) for c in coeffs]
     best = max(coeffs, default=Fraction(0))
-    cache: dict[FiniteSet, SymbolicSet] = {}
     for u in barrier_window_members(params.window_max):
         total = Fraction(0)
         sym = None
         for pt, a in zip(pts, coeffs):
             if pt.n in u and a:
                 if sym is None:
-                    sym = cache.get(u)
-                    if sym is None:
-                        sym = cache[u] = f_of_u(u, params)
+                    sym = f_of_u(u, params)
                 if point_membership(pt, sym):
                     total += a
         if total > best:

@@ -5,12 +5,14 @@ branch-and-bound, interval DP, pigeonhole shortcuts): quantities are
 recomputed by naive enumeration so each test crosses two independent routes.
 The stdlib-only oracles that ``schreierkit verify`` also runs live in
 :mod:`schreierkit.oracles` and are re-exported here; the Schreier membership
-oracles below use the ordinal arithmetic and stay with the tests.
+oracles below use the ordinal arithmetic, and the linear-program oracle
+(every vertex visited) serves only the LP tests, so they stay with the tests.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from schreierkit import OrdinalCNF, fundamental_sequence
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
@@ -76,3 +78,50 @@ def schreier_member_naive(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
 def schreier_level_member(level: int, s: tuple[int, ...]) -> bool:
     """Membership at finite level by unmemoized recursion on block splits."""
     return schreier_member_naive(OrdinalCNF.from_int(level), s)
+
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square system by Fraction Gaussian elimination, or None."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[i][n] / aug[i][i] for i in range(n)]
+
+
+def lp_vertex_optimum(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+    """min c.x over A_ub x <= b_ub, A_eq x = b_eq, x >= 0 by visiting every vertex.
+
+    A vertex is a feasible point where n independent constraints hold with
+    equality; each n-subset of the constraints (the rows and x_j >= 0) is
+    solved as a square system.  The region lies in x >= 0, so it has a
+    vertex whenever it is nonempty.  Returns the least objective over the
+    vertices, or None when there is none (the LP is infeasible).  Exact for
+    LPs with an optimum; the caller keeps the region bounded.
+    """
+    n = len(c)
+    bounds = [[int(i == j) for i in range(n)] for j in range(n)]
+    cons = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq)) + [(row, 0) for row in bounds]
+
+    def dot(row, x):
+        return sum((a * v for a, v in zip(row, x)), Fraction(0))
+
+    best = None
+    for tight in itertools.combinations(cons, n):
+        x = _solve_square([row for row, _ in tight], [b for _, b in tight])
+        if x is None or any(v < 0 for v in x):
+            continue
+        if any(dot(row, x) > b for row, b in zip(a_ub, b_ub)):
+            continue
+        if any(dot(row, x) != b for row, b in zip(a_eq, b_eq)):
+            continue
+        if best is None or dot(c, x) < best:
+            best = dot(c, x)
+    return best

@@ -323,9 +323,13 @@ def test_verify_determinism(tmp_path):
     assert cli_main(["verify", "--seed", "777", "--output", str(a)]) == 0
     assert cli_main(["verify", "--seed", "777", "--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # the report is pinned, so a change that moves any verdict or value shows
+    # the reports are pinned, so a change that moves any verdict or value shows
     assert hashlib.sha256(a.read_bytes()).hexdigest() == (
         "9d8b17129c345bde1bbc062260dbe1c9697e2e9843da33ad02fb71775fb56409"
     )
     rows = [line for line in a.read_text().splitlines() if not line.startswith(("#", "suite,"))]
     assert len(rows) >= 25
+    assert cli_main(["verify", "--seed", "12345", "--output", str(b)]) == 0
+    assert hashlib.sha256(b.read_bytes()).hexdigest() == (
+        "2d45fb6236d00e4e4bb26d1ec39d60df3b31fa4628dd50396a6934aca53cc805"
+    )

@@ -66,6 +66,13 @@ def test_hereditary_closure_examples():
     )
 
 
+def test_is_hereditary_examples():
+    assert not is_hereditary(Family([[1, 2]]))
+    assert is_hereditary(Family([[], [1], [2], [1, 2]]))
+    # a member too large to enumerate its subsets is still decided
+    assert not is_hereditary(Family([range(1, 26)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(sets_strategy)
 def test_hereditary_closure_idempotent_and_flagged(sets):

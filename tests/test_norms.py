@@ -213,9 +213,9 @@ def test_eps_support_family_identity_and_degenerate_cases():
     zeros = [SparseVector(), SparseVector()]
     assert eps_support_family(zeros, spec, Fraction(1, 2)) == Family([[]])
 
-    no_singles = NormingSpec(Family([[2, 3]]), include_singletons=False)
-    got2 = eps_support_family(basis, no_singles, Fraction(1, 2))
-    assert got2 == Family([[], [2, 3]])
+    pair = NormingSpec(Family([[2, 3]]))
+    got2 = eps_support_family(basis, pair, Fraction(1, 2))
+    assert got2 == Family([[], [2, 3]] + [(k,) for k in W8])
 
 
 def test_eps_support_family_on_piece_averages():
@@ -225,10 +225,11 @@ def test_eps_support_family_on_piece_averages():
         SparseVector({k: Fraction(1, len(p)) for k in p}) for p in pieces
     ]
     base = Family([[1, 3], [2, 3, 4], [5]])
-    spec = NormingSpec(base, include_singletons=False)
+    spec = NormingSpec(base)
     got = eps_support_family(avg, spec, Fraction(1, 2))
-    # {1,3}: mass 1/2 on pieces 1,2 -> {1,2}; {2,3,4}: 1/2, 1 -> {1,2}; {5}: {3}
-    assert got == Family([[], [1, 2], [3]])
+    # {1,3}: mass 1/2 on pieces 1,2 -> {1,2}; {2,3,4}: 1/2, 1 -> {1,2};
+    # {5} and the singletons: the piece of the coordinate
+    assert got == Family([[], [1], [2], [3], [1, 2]])
 
 
 def test_uniform_weak_bound_cases():
@@ -249,15 +250,15 @@ def test_uniform_weak_bound_cases():
 
 
 def test_uniform_weak_bound_signed_enumeration():
-    # cancellation matters: each sign pattern annihilates one of the two
-    # vectors, so the exact count is 1 while a sum-of-absolute-values
-    # shortcut would report 2
+    # cancellation matters: at eps = 2 each sign pattern on {1,2} annihilates
+    # one of the two vectors and no singleton reaches eps, so the exact count
+    # is 1 while a sum-of-absolute-values shortcut would report 2
     xs = [SparseVector({1: 1, 2: -1}), SparseVector({1: 1, 2: 1})]
-    spec = NormingSpec(Family([[1, 2]]), include_singletons=False)
+    spec = NormingSpec(Family([[1, 2]]))
     assert uniform_weak_bound(xs, spec, Fraction(2)) == 1
-    assert uniform_weak_bound(xs, spec, Fraction(1, 2)) == 1
-    with_singles = NormingSpec(Family([[1, 2]]), include_singletons=True)
-    assert uniform_weak_bound(xs, with_singles, Fraction(1, 2)) == 2
+    assert eps_support_family(xs, spec, Fraction(2)) == Family([[], [1], [2]])
+    # at eps = 1/2 the singleton e_1* reaches both vectors
+    assert uniform_weak_bound(xs, spec, Fraction(1, 2)) == 2
 
 
 signed_vectors_strategy = st.lists(
@@ -275,31 +276,32 @@ signed_vectors_strategy = st.lists(
 @given(
     signed_vectors_strategy,
     st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=6).map(Family),
-    st.booleans(),
     st.fractions(min_value=Fraction(1, 1000), max_value=4, max_denominator=1000),
 )
-def test_weak_bound_and_eps_supports_match_definitions(xs, base, singletons, eps):
-    spec = NormingSpec(base, include_singletons=singletons)
+@example(
+    [SparseVector({1: 1, 2: 1}), SparseVector({1: 1, 2: -1})], Family([[1, 2]]), Fraction(2)
+)
+def test_weak_bound_and_eps_supports_match_definitions(xs, base, eps):
+    spec = NormingSpec(base)
     # the norming set itself: +-e_k* and every signed indicator of a base set
-    functionals = [{k: 1} for k in range(1, 7)] if singletons else []
+    functionals = [{k: 1} for k in range(1, 7)]
     for s in base:
         functionals += [dict(zip(s, signs)) for signs in itertools.product((1, -1), repeat=len(s))]
 
-    def count(f):
-        return sum(
-            1 for x in xs if abs(sum((t * x[k] for k, t in f.items()), Fraction(0))) >= eps
+    def support(f):
+        return tuple(
+            n for n, x in enumerate(xs, 1)
+            if abs(sum((t * x[k] for k, t in f.items()), Fraction(0))) >= eps
         )
 
-    assert uniform_weak_bound(xs, spec, eps) == max(map(count, functionals), default=0)
-
-    union = sorted({k for x in xs for k in x.support})
-    sets = [()]
-    if singletons:
-        sets += [tuple(n for n, x in enumerate(xs, 1) if abs(x[k]) >= eps) for k in union]
-    for s in base:
-        mass = [sum((abs(x[k]) for k in s), Fraction(0)) for x in xs]
-        sets.append(tuple(n for n, m in enumerate(mass, 1) if m >= eps))
-    assert eps_support_family(xs, spec, eps) == Family(sets)
+    supports = set(map(support, functionals))
+    weak = uniform_weak_bound(xs, spec, eps)
+    assert weak == max(map(len, supports))
+    # every member is an eps-support, and every eps-support lies in a member
+    got = eps_support_family(xs, spec, eps)
+    assert all(s in supports or s == () for s in got)
+    assert all(any(set(t) <= set(s) for s in got) for t in supports)
+    assert weak == max(len(s) for s in got)
 
 
 def test_spreading_constants_exact():
@@ -344,7 +346,7 @@ def test_uniform_weak_bound_refuses_huge_sign_enumerations():
         SparseVector({k: 1 for k in big}),
     ]
     with pytest.raises(ValueError):
-        uniform_weak_bound(xs, NormingSpec(fml, include_singletons=False), Fraction(1, 2))
+        uniform_weak_bound(xs, NormingSpec(fml), Fraction(1, 2))
 
 
 def test_alpha_null_witness_cases():

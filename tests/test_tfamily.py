@@ -123,6 +123,7 @@ def test_measure_ratio_matches_slice_enumeration():
 
 def test_barrier_window_members_window7():
     us = barrier_window_members(7)
+    assert us == sorted(us)
     assert (1,) in us and (4, 5, 6, 7) in us
     assert len([u for u in us if u[0] == 2]) == 5
     assert len([u for u in us if u[0] == 3]) == 6

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from schreierkit import SparseVector, solve_lp
 from schreierkit.lp import LPCertificateError, _certify, solve_lp_reduced
-from schreierkit.oracles import lp_vertex_optimum
+
+from oracles import lp_vertex_optimum
 
 
 def test_sparse_vector_basics():
