@@ -5,6 +5,9 @@ verification suites.
 Exit codes: 0 on success with all properties passing, 1 when a verification
 property fails, 2 on malformed input or configuration.  Exact quantities are
 printed as "p/q" with a decimal approximation alongside.
+
+Each command imports the library modules it runs when it runs, so a call
+loads only its own subcommand's code.
 """
 
 from __future__ import annotations
@@ -13,14 +16,9 @@ import argparse
 import sys
 from decimal import MAX_EMAX, Decimal, localcontext
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import families as fam
-from . import interpolation as interp
-from . import norms
-from . import schreier as sch
-from . import tfamily as tf
-from . import verify as ver
 from .serialize import (
     dump_json,
     family_from_obj,
@@ -33,6 +31,13 @@ from .serialize import (
     tparams_to_obj,
     vector_from_obj,
 )
+
+if TYPE_CHECKING:
+    from .tfamily import TParams
+    from .verify import RunReport
+
+# the keys of verify.SUITES, spelled out so that parsing imports no suite
+SUITE_NAMES = ("interp", "norms", "schreier", "setfam", "tfamily")
 
 
 class InputError(ValueError):
@@ -114,6 +119,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_schreier(args: argparse.Namespace) -> int:
+    from . import schreier as sch
+
     alpha = sch.parse_ordinal(args.alpha)
     if args.member is not None:
         s = _parse_set(args.member)
@@ -131,6 +138,8 @@ def cmd_schreier(args: argparse.Namespace) -> int:
     window = _parse_window(args.window)
     if args.check_inclusion is not None:
         beta = sch.parse_ordinal(args.check_inclusion)
+        if not window:
+            raise InputError(f"--window {args.window!r} is empty; inclusion needs a point")
         rep = sch.check_inclusion(alpha, beta, window)
         if rep.ok:
             print(f"inclusion holds from shift n={rep.shift} on window {list(window)}")
@@ -143,6 +152,8 @@ def cmd_schreier(args: argparse.Namespace) -> int:
 
 
 def cmd_norm(args: argparse.Namespace) -> int:
+    from . import norms
+
     family = family_from_obj(load_json(args.family))
     x = vector_from_obj(load_json(args.vector))
     if args.p is None or args.p == "inf":
@@ -161,7 +172,9 @@ def cmd_norm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_params(args: argparse.Namespace) -> tuple[tf.TParams, int]:
+def _load_params(args: argparse.Namespace) -> tuple[TParams, int]:
+    from . import tfamily as tf
+
     seed = args.seed
     if args.config:
         params, cfg_seed = tparams_from_obj(load_json(args.config))
@@ -179,6 +192,8 @@ def _load_params(args: argparse.Namespace) -> tuple[tf.TParams, int]:
 
 
 def cmd_tfamily(args: argparse.Namespace) -> int:
+    from . import tfamily as tf
+
     params, seed = _load_params(args)
     if args.mode == "build":
         obj = tparams_to_obj(params, seed)
@@ -202,6 +217,8 @@ def cmd_tfamily(args: argparse.Namespace) -> int:
         _emit(dump_json(obj, None) + "\n", args.output)
         return 0
     # verify / report are the evidence modes
+    from . import verify as ver
+
     report = ver.run_suites(seed, names=["tfamily"], params=params)
     if args.mode == "report":
         obj = report.to_obj()
@@ -214,6 +231,8 @@ def cmd_tfamily(args: argparse.Namespace) -> int:
 
 
 def cmd_gauge(args: argparse.Namespace) -> int:
+    from . import interpolation as interp
+
     family = family_from_obj(load_json(args.family))
     x = vector_from_obj(load_json(args.vector))
     if args.nmax is not None:
@@ -230,14 +249,14 @@ def cmd_gauge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_report(report: ver.RunReport, args: argparse.Namespace) -> None:
+def _write_report(report: RunReport, args: argparse.Namespace) -> None:
     if args.format == "json":
         _emit(dump_json(report.to_obj(), None) + "\n", args.output)
     else:
         _emit(report.to_csv(), args.output)
 
 
-def _summarize(report: ver.RunReport) -> None:
+def _summarize(report: RunReport) -> None:
     cases = report.sorted_cases()
     failed = [c for c in cases if c.verdict == "fail"]
     skipped = [c for c in cases if c.verdict == "skipped"]
@@ -255,6 +274,8 @@ def _summarize(report: ver.RunReport) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify as ver
+
     names = args.suite or None
     report = ver.run_suites(args.seed, names=names)
     _write_report(report, args)
@@ -320,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gauge.set_defaults(fn=cmd_gauge)
 
     p_verify = sub.add_parser("verify", parents=[common], help="run the bundled verification suites")
-    p_verify.add_argument("--suite", action="append", choices=sorted(ver.SUITES),
+    p_verify.add_argument("--suite", action="append", choices=SUITE_NAMES,
                           help="restrict to a suite (repeatable)")
     p_verify.set_defaults(fn=cmd_verify)
     return parser

@@ -14,11 +14,13 @@ import json
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from .families import Family, PartitionMeasure
-from .tfamily import TParams
 from .vectors import SparseVector
+
+if TYPE_CHECKING:
+    from .tfamily import TParams
 
 
 def parse_rational(text: Any) -> Fraction:
@@ -125,6 +127,8 @@ def vector_from_obj(obj: dict) -> SparseVector:
 
 def tparams_from_obj(obj: dict) -> tuple[TParams, Optional[int]]:
     """Build family parameters from a config object; returns (params, seed)."""
+    from .tfamily import TParams
+
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
     lam = parse_rational(obj.get("lambda", "1/2"))

@@ -22,6 +22,7 @@ lambda.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -101,22 +102,31 @@ class TParams:
             raise ValueError(f"no radix for m = {m} (window_max = {self.window_max})")
 
 
-def digit_keys(n: int, params: TParams) -> list[DigitKey]:
-    """Canonical digit coordinate order for I_n: sorted by (m, l, i, j)."""
+# bounded: a window-7 run touches pieces 1..7, whose runs hold 224 keys (~19 kB)
+@functools.lru_cache(maxsize=8)
+def _key_runs(n: int) -> tuple[tuple[int, tuple[DigitKey, ...]], ...]:
+    """Canonical key order of I_n as runs (m, keys with that m), m ascending."""
+    runs = []
+    for m in range(4, n + 1):
+        pairs = list(itertools.combinations(range(2, m), 2))
+        runs.append((m, tuple((m, l, i, j) for l in range(1, n + 1) for i, j in pairs)))
+    return tuple(runs)
+
+
+def _check_piece(n: int, params: TParams) -> None:
     if n < 1 or n > params.window_max:
         raise ValueError(f"piece index {n} outside window 1..{params.window_max}")
-    keys = []
-    for m in range(4, n + 1):
-        for l in range(1, n + 1):
-            for i, j in itertools.combinations(range(2, m), 2):
-                keys.append((m, l, i, j))
-    return keys
+
+
+def digit_keys(n: int, params: TParams) -> list[DigitKey]:
+    """Canonical digit coordinate order for I_n: sorted by (m, l, i, j)."""
+    _check_piece(n, params)
+    return [key for _, keys in _key_runs(n) for key in keys]
 
 
 def index_cardinality(n: int, params: TParams) -> int:
     """Exact #I_n = product over 4 <= m <= n of r_m^(n * C(m-2, 2))."""
-    if n < 1 or n > params.window_max:
-        raise ValueError(f"piece index {n} outside window 1..{params.window_max}")
+    _check_piece(n, params)
     out = 1
     for m in range(4, n + 1):
         out *= params.radix(m) ** (n * math.comb(m - 2, 2))
@@ -168,11 +178,13 @@ def point_to_integer(pt: IndexPoint, params: TParams) -> int:
     Pieces are laid out in increasing n; within a piece, digits are read as
     a mixed-radix number in canonical key order, most significant first.
     """
+    _check_piece(pt.n, params)
     offset = sum(index_cardinality(k, params) for k in range(1, pt.n))
     idx = 0
-    for key in digit_keys(pt.n, params):
-        m = key[0]
-        idx = idx * params.radix(m) + (pt.digit(key) - 1)
+    for m, keys in _key_runs(pt.n):
+        r = params.radix(m)
+        for key in keys:
+            idx = idx * r + (pt.digit(key) - 1)
     return offset + idx + 1
 
 
@@ -269,9 +281,23 @@ def _rng(seed: Union[int, random.Random]) -> random.Random:
 
 
 def sample_point(n: int, params: TParams, seed: Union[int, random.Random]) -> IndexPoint:
-    """Uniform point of I_n: independent uniform digits in canonical order."""
-    rng = _rng(seed)
-    digits = {key: rng.randint(1, params.radix(key[0])) for key in digit_keys(n, params)}
+    """Uniform point of I_n: independent uniform digits in canonical order.
+
+    Each digit in 1..r is 1 plus getrandbits(r.bit_length()), redrawn while
+    it is r or more.  This is what ``randint(1, r)`` does, so a seed gives
+    the same digits as one ``randint`` call per key in canonical order.
+    """
+    _check_piece(n, params)
+    getrandbits = _rng(seed).getrandbits
+    digits: dict[DigitKey, int] = {}
+    for m, keys in _key_runs(n):
+        r = params.radix(m)
+        bits = r.bit_length()
+        for key in keys:
+            v = getrandbits(bits)
+            while v >= r:
+                v = getrandbits(bits)
+            digits[key] = v + 1
     return IndexPoint(n, digits)
 
 

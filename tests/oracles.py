@@ -12,9 +12,11 @@ oracles below use the ordinal arithmetic, and the linear-program oracle
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from schreierkit import OrdinalCNF, fundamental_sequence
+from schreierkit.tfamily import digit_keys
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
     block_decomposable,
     block_power_brute,
@@ -125,3 +127,13 @@ def lp_vertex_optimum(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         if best is None or dot(c, x) < best:
             best = dot(c, x)
     return best
+
+
+def sample_point_randint(n, params, seed):
+    """Digits of a uniform point of I_n: one ``randint`` per key in canonical order.
+
+    ``seed`` is an int or a ``random.Random`` shared across calls; the
+    library's sampler must draw the same digits from the same stream.
+    """
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    return {key: rng.randint(1, params.radix(key[0])) for key in digit_keys(n, params)}

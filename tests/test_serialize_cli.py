@@ -251,6 +251,18 @@ def test_cli_tfamily_report_mode(tmp_path):
     assert len(skipped) == 1 and "window" in skipped[0]["witness"]
 
 
+@pytest.mark.parametrize("window_max", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["verify", "report"])
+def test_cli_tfamily_below_window_4_skips_transversals(mode, window_max, capsys):
+    assert main(["tfamily", mode, "--window-max", str(window_max)]) == 0
+    captured = capsys.readouterr()
+    assert "SKIP tfamily.transversal_c0" in captured.err
+    if mode == "report":
+        verdicts = {c["property_id"]: c["verdict"] for c in json.loads(captured.out)["cases"]}
+        assert verdicts["tfamily.transversal_c0"] == "skipped"
+        assert "fail" not in verdicts.values()
+
+
 def test_cli_family_otimes_and_gdeltamu(tmp_path, capsys):
     f = write(tmp_path, "f.json", {"sets": [[1, 2], [4]], "hereditary": None})
     g = write(tmp_path, "g.json", {"sets": [[1], [1, 4]], "hereditary": None})
@@ -271,6 +283,9 @@ def test_cli_schreier_error_paths(capsys):
     assert main(["schreier", "--alpha", "1", "--barrier", ""]) == 2
     assert main(["schreier", "--alpha", "1"]) == 2  # nothing to do without a window
     assert main(["schreier", "--alpha", "w", "--fundamental", "-1"]) == 2
+    # an empty window is malformed input, not a failed inclusion
+    assert main(["schreier", "--alpha", "1", "--check-inclusion", "2", "--window", "1..0"]) == 2
+    assert "empty" in capsys.readouterr().err
 
 
 def test_cli_gauge(tmp_path, capsys):

@@ -25,7 +25,8 @@ from schreierkit import (
     transversal_trace_report,
 )
 
-from oracles import disequality_solutions, eh_set
+from oracles import disequality_solutions, eh_set, sample_point_randint
+from schreierkit.tfamily import digit_keys
 
 HALF = Fraction(1, 2)
 P7 = TParams.build(HALF, 7)
@@ -139,6 +140,40 @@ def test_sampling_determinism_and_validation():
     assert sample_point(2, P7, 0) == IndexPoint(2, {})
     with pytest.raises(ValueError):
         IndexPoint(4, {}).validate(P7)
+
+
+def test_digit_keys_are_sorted_and_complete():
+    for n in range(1, 9):
+        want = sorted(
+            (m, l, i, j)
+            for m in range(4, n + 1)
+            for l in range(1, n + 1)
+            for i, j in itertools.combinations(range(2, m), 2)
+        )
+        assert digit_keys(n, P8) == want
+
+
+def test_sample_point_draws_the_randint_stream():
+    for n in range(1, 8):
+        for seed in (0, 1, 99, 12345):
+            assert sample_point(n, P7, seed).digits == sample_point_randint(n, P7, seed)
+    # one generator shared by a sequence of calls, as the verify suites use it
+    ours, theirs = random.Random(7), random.Random(7)
+    for n in (7, 4, 2, 8, 5, 7, 6, 1, 8):
+        assert sample_point(n, P8, ours).digits == sample_point_randint(n, P8, theirs)
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_sample_in_draws_the_randint_stream():
+    sym = f_of_u([4, 5, 6, 7], P7)
+    ours, theirs = random.Random(31), random.Random(31)
+    for _ in range(20):
+        while True:
+            digits = sample_point_randint(7, P7, theirs)
+            if point_membership(IndexPoint(7, digits), sym):
+                break
+        assert sample_in(sym, 7, P7, ours).digits == digits
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_sample_in_respects_constraints():
