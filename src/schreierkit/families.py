@@ -2,9 +2,12 @@
 
 A *finite set* is a strictly increasing tuple of integers >= 1 (indices into
 the natural numbers are 1-based throughout).  A :class:`Family` is a finite,
-deduplicated collection of such sets, stored as a prefix trie keyed by the
-increasing enumeration.  All operations are pure; families are immutable
-after construction and safe to share between threads.
+deduplicated collection of such sets, stored as the prefix trie of their
+increasing enumerations laid out in preorder arrays (label, depth, subtree
+end, member flag per node), with no object per node.  Operations that build
+a family collect its members and lay the arrays out once.  All operations
+are pure; families are immutable after construction and safe to share
+between threads.
 
 Conventions
 -----------
@@ -50,16 +53,57 @@ def interval(lo: int, hi: int) -> FiniteSet:
     return tuple(range(lo, hi + 1))
 
 
-class _Node:
-    __slots__ = ("children", "terminal")
+def _preorder(members: Iterable[FiniteSet]) -> tuple[list[int], list[int], list[int], bytearray]:
+    """The preorder arrays ``(label, depth, end, term)`` of the trie of ``members``.
 
-    def __init__(self) -> None:
-        self.children: dict[int, _Node] = {}
-        self.terminal = False
+    ``members`` are finite sets in any order, repeats allowed.  Sorted, they
+    come in preorder, so each one appends the nodes past its longest common
+    prefix with the one before; a node's ``end`` is set when a later member
+    leaves its subtree.
+    """
+    label = [0]
+    depth = [0]
+    end = [0]
+    term = bytearray(1)
+    path = [0]  # path[d] is the open node at depth d
+    prev: FiniteSet = ()
+    for s in sorted(set(members)):
+        if not s:
+            term[0] = 1
+            continue
+        k = len(label)
+        lcp = 0
+        for a, b in zip(prev, s):
+            if a != b:
+                break
+            lcp += 1
+        for x in path[lcp + 1:]:
+            end[x] = k
+        del path[lcp + 1:]
+        fresh = len(s) - lcp
+        path.extend(range(k, k + fresh))
+        label.extend(s[lcp:])
+        depth.extend(range(lcp + 1, len(s) + 1))
+        end.extend([0] * fresh)
+        term.extend(bytes(fresh - 1))
+        term.append(1)
+        prev = s
+    for x in path:
+        end[x] = len(label)
+    return label, depth, end, term
 
 
 class Family:
-    """A finite collection of finite subsets of N, trie-backed.
+    """A finite collection of finite subsets of N, stored as a preorder trie.
+
+    Node 0 is the root, the empty prefix; node i has the element
+    ``_label[i]``, its depth ``_depth[i]``, ``_end[i]`` one past its subtree
+    and ``_term[i]`` = 1 when its prefix is a member.  The children of i are
+    i + 1, ``_end[i + 1]``, ... up to ``_end[i]``, in ascending order, and
+    every leaf is a member.  So the arrays are canonical: two families are
+    equal exactly when their arrays are.  The arrays are three lists of
+    Python ints, so elements of any size work, and one ``bytearray``; no
+    per-node object exists for the garbage collector to scan.
 
     Iteration order is deterministic: lexicographic on the increasing-tuple
     encoding, so a set precedes its proper extensions and siblings ascend.
@@ -68,34 +112,48 @@ class Family:
     unknown); it is not validated at construction, see :func:`is_hereditary`.
     """
 
-    __slots__ = ("_root", "_size", "hereditary_flag")
+    __slots__ = ("_label", "_depth", "_end", "_term", "_height", "_size", "hereditary_flag")
 
     def __init__(
         self,
         sets: Iterable[Iterable[int]] = (),
         hereditary: Optional[bool] = None,
     ) -> None:
-        self._root = _Node()
-        self._size = 0
-        for s in sets:
-            self._insert(finite_set(s))
+        self._adopt(*_preorder(finite_set(s) for s in sets))
         self.hereditary_flag = hereditary
 
-    def _insert(self, s: FiniteSet) -> None:
-        node = self._root
-        for e in s:
-            nxt = node.children.get(e)
-            if nxt is None:
-                nxt = _Node()
-                node.children[e] = nxt
-            node = nxt
-        if not node.terminal:
-            node.terminal = True
-            self._size += 1
+    def _adopt(self, label: list[int], depth: list[int], end: list[int], term: bytearray) -> None:
+        self._label = label
+        self._depth = depth
+        self._end = end
+        self._term = term
+        self._height = max(depth)
+        self._size = term.count(1)
+
+    @classmethod
+    def _of(
+        cls, members: Iterable[FiniteSet], hereditary: Optional[bool] = None
+    ) -> "Family":
+        """The family of ``members``, already finite sets, in any order."""
+        return cls._from_arrays(*_preorder(members), hereditary=hereditary)
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        label: list[int],
+        depth: list[int],
+        end: list[int],
+        term: bytearray,
+        hereditary: Optional[bool] = None,
+    ) -> "Family":
+        out = cls.__new__(cls)
+        out._adopt(label, depth, end, term)
+        out.hereditary_flag = hereditary
+        return out
 
     @property
     def contains_empty(self) -> bool:
-        return self._root.terminal
+        return bool(self._term[0])
 
     def __len__(self) -> int:
         return self._size
@@ -104,30 +162,42 @@ class Family:
         return self._size > 0
 
     def __iter__(self) -> Iterator[FiniteSet]:
-        def walk(node: _Node, prefix: FiniteSet) -> Iterator[FiniteSet]:
-            if node.terminal:
-                yield prefix
-            for e in sorted(node.children):
-                yield from walk(node.children[e], prefix + (e,))
-
-        return walk(self._root, ())
+        if self._term[0]:
+            yield ()
+        # path[d] is the prefix of the last node seen at depth d
+        path: list[FiniteSet] = [()] * (self._height + 1)
+        nodes = zip(self._label, self._depth, self._term)
+        next(nodes)
+        for e, d, t in nodes:
+            s = path[d] = path[d - 1] + (e,)
+            if t:
+                yield s
 
     def members(self) -> list[FiniteSet]:
         return list(self)
 
     def __contains__(self, s: Iterable[int]) -> bool:
-        node = self._root
+        label, end = self._label, self._end
+        node = 0
         for e in finite_set(s):
-            node = node.children.get(e)  # type: ignore[assignment]
-            if node is None:
+            child, stop = node + 1, end[node]
+            while child < stop and label[child] < e:
+                child = end[child]
+            if child == stop or label[child] != e:
                 return False
-        return node.terminal
+            node = child
+        return bool(self._term[node])
 
     def __eq__(self, other: object) -> bool:
         # equality is extensional on member sets; flags are metadata
         if not isinstance(other, Family):
             return NotImplemented
-        return len(self) == len(other) and all(s in other for s in self)
+        return (
+            self._size == other._size
+            and self._depth == other._depth
+            and self._label == other._label
+            and self._term == other._term
+        )
 
     def __repr__(self) -> str:
         shown = ", ".join("{" + ",".join(map(str, s)) + "}" for s in itertools.islice(self, 6))
@@ -141,7 +211,7 @@ def bounded_cardinality_family(window: Iterable[int], n: int) -> Family:
     sets = itertools.chain.from_iterable(
         itertools.combinations(w, k) for k in range(0, min(n, len(w)) + 1)
     )
-    return Family(sets, hereditary=True)
+    return Family._of(sets, hereditary=True)
 
 
 def is_hereditary(family: Family) -> bool:
@@ -159,41 +229,40 @@ def hereditary_closure(family: Family) -> Family:
     Every subset of every member is included; in particular the empty set
     belongs to the closure of any nonempty family.
     """
-    out = Family(hereditary=True)
+    subsets: set[FiniteSet] = set()
     for s in family:
         if len(s) > MAX_CLOSURE_SIZE:
             raise ValueError(f"member of size {len(s)} too large for subset closure")
         for k in range(len(s) + 1):
-            for t in itertools.combinations(s, k):
-                out._insert(t)
-    return out
+            subsets.update(itertools.combinations(s, k))
+    return Family._of(subsets, hereditary=True)
 
 
 def trace(family: Family, m: Iterable[int]) -> Family:
-    """The trace {s & M : s in family}, deduplicated.
+    """The trace {s & M : s in family}, deduplicated."""
+    return Family._of(_trace_images(family, set(finite_set(m))))
 
-    One iterative walk over the trie carries each node's image in the output
-    trie: an element of M steps the image down, any other element leaves it
-    in place, and a member marks its image.  The cost is one step per trie
-    node, with no member tuple built and nothing sorted.
+
+def _trace_images(family: Family, mset: set[int]) -> set[FiniteSet]:
+    """The set {s & M : s in family}.
+
+    One scan of the preorder arrays keeps the image of the path to each node,
+    indexed by depth: an element of M extends its parent's image, any other
+    element shares it, and a member adds its image to the output.  The cost
+    is one step per trie node.
     """
-    mset = set(finite_set(m))
-    out = Family(hereditary=None)
-    stack = [(family._root, out._root)]
-    while stack:
-        node, image = stack.pop()
-        if node.terminal and not image.terminal:
-            image.terminal = True
-            out._size += 1
-        for e, child in node.children.items():
-            if e in mset:
-                nxt = image.children.get(e)
-                if nxt is None:
-                    nxt = image.children[e] = _Node()
-                stack.append((child, nxt))
-            else:
-                stack.append((child, image))
-    return out
+    images: set[FiniteSet] = set()
+    if family._term[0]:
+        images.add(())
+    # path[d] is the image of the last node seen at depth d
+    path: list[FiniteSet] = [()] * (family._height + 1)
+    nodes = zip(family._label, family._depth, family._term)
+    next(nodes)
+    for e, d, t in nodes:
+        image = path[d] = path[d - 1] + (e,) if e in mset else path[d - 1]
+        if t:
+            images.add(image)
+    return images
 
 
 def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
@@ -202,7 +271,8 @@ def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
 
     ||x||_F is the largest of these sums for x supported in ``support``; a
     trace member of size <= 1 adds nothing the singletons do not."""
-    return [(k,) for k in support] + [s for s in trace(family, support) if len(s) >= 2]
+    images = _trace_images(family, set(support))
+    return [(k,) for k in support] + sorted(s for s in images if len(s) >= 2)
 
 
 def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
@@ -229,7 +299,7 @@ def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
 def restrict(family: Family, m: Iterable[int]) -> Family:
     """The restriction {s in family : s subset of M}."""
     mset = set(finite_set(m))
-    return Family(
+    return Family._of(
         (s for s in family if mset.issuperset(s)),
         hereditary=family.hereditary_flag,
     )
@@ -241,12 +311,9 @@ def oplus(f: Family, g: Family) -> Family:
     ``s < t`` holds vacuously when either side is empty, so empty members
     of either operand contribute the other operand's sets unchanged.
     """
-    out = Family()
-    for s in g:
-        for t in f:
-            if not s or not t or s[-1] < t[0]:
-                out._insert(s + t)
-    return out
+    return Family._of(
+        s + t for s in g for t in f if not s or not t or s[-1] < t[0]
+    )
 
 
 def otimes(f: Family, g: Family, window: Iterable[int]) -> Family:
@@ -264,25 +331,24 @@ def otimes(f: Family, g: Family, window: Iterable[int]) -> Family:
         if s and wset.issuperset(s):
             blocks_by_min.setdefault(s[0], []).append(s)
 
-    out = Family()
-    if g.contains_empty:
-        out._insert(())
+    label, end, term = g._label, g._end, g._term
+    unions: list[FiniteSet] = [()] if term[0] else []
 
-    def extend(g_node: _Node, last_max: int, prefix: FiniteSet) -> None:
-        for m in sorted(g_node.children):
-            if m <= last_max:
-                continue
-            child = g_node.children[m]
-            for block in blocks_by_min.get(m, ()):
-                if block[0] <= last_max:
-                    continue
-                union = prefix + block
-                if child.terminal:
-                    out._insert(union)
-                extend(child, block[-1], union)
+    def extend(node: int, last_max: int, prefix: FiniteSet) -> None:
+        # children of node in g, ascending; each block starts at its child's label
+        child, stop = node + 1, end[node]
+        while child < stop:
+            m = label[child]
+            if m > last_max:
+                for block in blocks_by_min.get(m, ()):
+                    union = prefix + block
+                    if term[child]:
+                        unions.append(union)
+                    extend(child, block[-1], union)
+            child = end[child]
 
-    extend(g._root, 0, ())
-    return out
+    extend(0, 0, ())
+    return Family._of(unions)
 
 
 def largeness_witness(family: Family, k: Iterable[int], n: int) -> Optional[FiniteSet]:
@@ -318,27 +384,31 @@ def find_uniform_trace(
 
     Subsets of T are scanned in lexicographic order.  The search charges one
     unit of budget per trie node visited; exceeding ``node_budget`` yields a
-    ``budget-exceeded`` result rather than a silent "absent".
+    ``budget-exceeded`` result rather than a silent "absent".  Each walk
+    enters the children of a node from the largest down.
     """
     tt = finite_set(t)
     if size > len(tt):
         raise ValueError(f"size {size} exceeds #T = {len(tt)}")
+    label, end = family._label, family._end
     visited = 0
 
     def some_trace_exceeds(t0: frozenset[int]) -> Optional[bool]:
         # True iff some member meets t0 in more than `bound` points.
         # None signals budget exhaustion.
         nonlocal visited
-        stack = [(family._root, 0)]
+        stack = [(0, 0)]
         while stack:
             node, cnt = stack.pop()
             if cnt > bound:
                 return True
-            for e, child in node.children.items():
+            child, stop = node + 1, end[node]
+            while child < stop:
                 visited += 1
                 if visited > node_budget:
                     return None
-                stack.append((child, cnt + (1 if e in t0 else 0)))
+                stack.append((child, cnt + (label[child] in t0)))
+                child = end[child]
         return False
 
     for combo in itertools.combinations(tt, size):
@@ -355,7 +425,9 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
 
     Exact branch-and-bound on the trie: a branch entered at element e is cut
     when the running sum plus the total weight sitting at indices >= e cannot
-    beat the incumbent.  Elements without a weight count as zero.
+    beat the incumbent.  Elements without a weight count as zero.  Siblings
+    ascend and that total does not grow with e, so a cut branch also cuts
+    its later siblings: the scan jumps to the end of the parent's subtree.
 
     The weights are scaled once by the lcm of their denominators, so the walk
     adds and compares Python ints; the result is that integer over the lcm,
@@ -371,21 +443,26 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
     for i in range(len(support) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + scaled[support[i]]
 
-    def tail_from(e: int) -> int:
-        return suffix[bisect.bisect_left(support, e)]
-
+    label, depth, end, term = family._label, family._depth, family._end, family._term
+    bisect_left, weight = bisect.bisect_left, scaled.get
+    # acc[d], parent[d]: running sum and index of the entered node at depth d
+    acc = [0] * (family._height + 1)
+    parent = [0] * (family._height + 1)
     best = 0
-
-    def walk(node: _Node, acc: int) -> None:
-        nonlocal best
-        if node.terminal and acc > best:
-            best = acc
-        for e in node.children:
-            if acc + tail_from(e) <= best:
-                continue
-            walk(node.children[e], acc + scaled.get(e, 0))
-
-    walk(family._root, 0)
+    i, size = 1, len(label)
+    while i < size:
+        d = depth[i]
+        e = label[i]
+        a = acc[d - 1]
+        if a + suffix[bisect_left(support, e)] <= best:
+            i = end[parent[d - 1]]
+            continue
+        a += weight(e, 0)
+        if a > best and term[i]:
+            best = a
+        acc[d] = a
+        parent[d] = i
+        i += 1
     return Fraction(best, scale)
 
 
@@ -406,7 +483,11 @@ def best_run_sums(
     run end j > q, its running sum plus the weight at positions q..j-1
     cannot beat ``best[j]``.  Testing the last run end alone decides this:
     the walk has recorded every prefix of the path behind ``best[m]``, so
-    best[m] - best[j] is at most the weight at positions j..m-1.
+    best[m] - best[j] is at most the weight at positions j..m-1.  The test
+    is made when a subtree is pushed and again, with a later ``best[m]``,
+    when it is popped.  Children are pushed in ascending order, so the
+    largest is entered first; once one lies past the support, so do the
+    rest, and the scan of the siblings stops.
     """
     m = len(support)
     # ahead[q] = total weight at positions q..m-1
@@ -414,23 +495,31 @@ def best_run_sums(
     for q in range(m - 1, start - 1, -1):
         ahead[q] = ahead[q + 1] + weights[q]
     best = [0] * (m + 1)
-    stack = [(family._root, 0, start)]
+    label, end = family._label, family._end
+    bisect_left = bisect.bisect_left
+    stack = [(0, 0, start)]
     while stack:
         node, acc, q = stack.pop()
         if acc + ahead[q] <= best[m]:
             continue
-        for e, child in node.children.items():
-            r = bisect.bisect_left(support, e, q)
-            if r < m and support[r] == e:
+        child, stop = node + 1, end[node]
+        while child < stop:
+            e = label[child]
+            r = bisect_left(support, e, q)
+            if r == m:
+                break
+            nxt = end[child]
+            if support[r] == e:
                 acc_e = acc + weights[r]
                 j = r + 1
                 while j <= m and best[j] < acc_e:
                     best[j] = acc_e
                     j += 1
-                if child.children:
+                if nxt > child + 1 and acc_e + ahead[r + 1] > best[m]:
                     stack.append((child, acc_e, r + 1))
-            elif r < m and child.children:
+            elif nxt > child + 1:
                 stack.append((child, acc, r))
+            child = nxt
     return best[start + 1 :]
 
 
@@ -507,20 +596,17 @@ def g_lambda(family: Family, measure: PartitionMeasure, lam: Fraction) -> Family
     Uses counting measure on the pieces regardless of the measure's weights.
     """
     lam = _check_density(lam, "lambda")
-    out = Family()
+    projected = []
     for s in family:
         hit = [n for n, part in measure.split(s).items()
                if len(part) >= lam * len(measure.pieces[n - 1])]
-        out._insert(tuple(sorted(hit)))
-    return out
+        projected.append(tuple(sorted(hit)))
+    return Family._of(projected)
 
 
 def g_plus(family: Family, measure: PartitionMeasure) -> Family:
     """{s[+] : s in family} where s[+] = {n : s & I_n nonempty}."""
-    out = Family()
-    for s in family:
-        out._insert(tuple(sorted(measure.split(s))))
-    return out
+    return Family._of(tuple(sorted(measure.split(s))) for s in family)
 
 
 def g_delta_mu(family: Family, measure: PartitionMeasure, delta: Fraction) -> Family:
@@ -531,12 +617,12 @@ def g_delta_mu(family: Family, measure: PartitionMeasure, delta: Fraction) -> Fa
     (every subset works with the same witness s).
     """
     delta = _check_density(delta, "delta")
-    tops = Family()
+    tops = []
     for s in family:
         hit = []
         for n, part in measure.split(s).items():
             mass = sum(measure.weights[n - 1][e] for e in part)
             if mass >= delta:
                 hit.append(n)
-        tops._insert(tuple(sorted(hit)))
-    return hereditary_closure(tops) if tops else Family()
+        tops.append(tuple(sorted(hit)))
+    return hereditary_closure(Family._of(tops)) if tops else Family()

@@ -42,7 +42,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-from .families import Family, FiniteSet, _Node, finite_set
+from .families import Family, FiniteSet, finite_set
 
 MAX_WINDOW = 24
 
@@ -224,29 +224,43 @@ def schreier_member(alpha: OrdinalCNF, s: Iterable[int]) -> bool:
 def schreier_enumerate(alpha: OrdinalCNF, window: Iterable[int]) -> Family:
     """All members of S_alpha contained in the window.
 
-    A depth-first search carries each member's state and writes it into the
-    trie as it goes, children in ascending order.  Every extension of a member
-    by a larger element is a member exactly when the member's state is
-    nonempty, so the search never builds a non-member.
+    A depth-first search carries each member's state and appends the members
+    to the family's preorder arrays as it meets them, siblings in ascending
+    order.  Every extension of a member by a larger element is a member
+    exactly when the member's state is nonempty, so the search never builds
+    a non-member, and every node is a member.
+
+    A stack entry ``(state, i, d, prev)`` stands for the children w[i], ...
+    of a node of depth d - 1 whose state is ``state``.  A node is appended
+    with its subtree's end one past itself, which holds for a leaf, so for
+    the last child w[-1].  ``prev`` is the node appended last before the
+    child w[i]: its previous sibling, whose subtree ends where the child
+    starts, or its parent, whose end already says so then.
     """
     w = finite_set(window)
-    if len(w) > MAX_WINDOW:
-        raise ValueError(f"window of size {len(w)} exceeds the limit {MAX_WINDOW}")
-    out = Family(hereditary=True)
-    out._root.terminal = True
-    out._size = 1
-    stack = [(out._root, _start(alpha), 0)]
+    n = len(w)
+    if n > MAX_WINDOW:
+        raise ValueError(f"window of size {n} exceeds the limit {MAX_WINDOW}")
+    label = [0]
+    depth = [0]
+    end = [1]
+    stack = [(_start(alpha), 0, 1, 0)] if n else []
     while stack:
-        node, state, start = stack.pop()
-        out._size += len(w) - start
-        for i in range(start, len(w)):
-            child = node.children[w[i]] = _Node()
-            child.terminal = True
-            if i + 1 < len(w):
-                nxt = _step(state, w[i])
-                if nxt:
-                    stack.append((child, nxt, i + 1))
-    return out
+        state, i, d, prev = stack.pop()
+        k = len(label)
+        end[prev] = k
+        e = w[i]
+        label.append(e)
+        depth.append(d)
+        end.append(k + 1)
+        i += 1
+        if i < n:
+            stack.append((state, i, d, k))
+            nxt = _step(state, e)
+            if nxt:
+                stack.append((nxt, i, d + 1, k))
+    end[0] = len(label)
+    return Family._from_arrays(label, depth, end, bytearray(b"\x01") * len(label), hereditary=True)
 
 
 def schreier_family(window: Iterable[int]) -> Family:

@@ -26,7 +26,7 @@ from schreierkit import (
     schreier_family,
     trace,
 )
-from schreierkit.families import maximal_mask
+from schreierkit.families import best_run_sums, maximal_mask
 
 from oracles import all_subsets, block_decomposable
 
@@ -56,6 +56,8 @@ def test_family_equality_is_extensional():
     assert Family([[1], [2]]) == Family([[2], [1]])
     assert Family([[1]], hereditary=True) == Family([[1]], hereditary=None)
     assert Family([[1]]) != Family([[1], [2]])
+    # same labels, depths and size; only the member flags differ
+    assert Family([[], [1, 2]]) != Family([[1], [1, 2]])
 
 
 def test_hereditary_closure_examples():
@@ -175,11 +177,17 @@ def test_find_uniform_trace_found_and_absent():
     f2 = bounded_cardinality_family(interval(1, 12), 2)
     res = find_uniform_trace(f2, interval(1, 10), 5, 2)
     assert res.found and res.witness == (1, 2, 3, 4, 5)
+    # the work counts are pinned: one unit per trie node entered
+    assert res.nodes_visited == 78
 
     # every 4-subset of {10..16} is Schreier-admissible, so no T0 works
     s = schreier_family(interval(10, 16))
     res2 = find_uniform_trace(s, interval(10, 16), 4, 3)
     assert res2.status == "absent"
+    assert res2.nodes_visited == 2624
+    # the search that `verify` runs, over S_1(1..16)
+    res_verify = find_uniform_trace(schreier_family(interval(1, 16)), interval(10, 16), 4, 3)
+    assert res_verify.status == "absent" and res_verify.nodes_visited == 2939
 
     res3 = find_uniform_trace(Family([[1, 2, 3, 4]]), interval(1, 8), 4, 3)
     assert res3.found
@@ -192,6 +200,7 @@ def test_find_uniform_trace_budget_exhaustion_is_distinct():
     res = find_uniform_trace(s, interval(10, 16), 4, 3, node_budget=50)
     assert res.status == "budget-exceeded"
     assert res.witness is None
+    assert res.nodes_visited == 51
 
 
 def test_find_uniform_trace_rejects_oversized_request():
@@ -308,3 +317,83 @@ def test_otimes_matches_block_sequence_bruteforce():
         )
         want = {s for s in all_subsets(w) if block_decomposable(s, f, g)}
         assert set(otimes(f, g, w).members()) == want
+
+
+PIECES = [[1, 2, 3], [4, 5], [6, 7, 8, 9]]
+member_lists = st.lists(
+    st.frozensets(st.integers(1, 9), max_size=4).map(lambda s: tuple(sorted(s))), max_size=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    member_lists,
+    member_lists,
+    st.booleans(),
+    st.randoms(use_true_random=False),
+    st.frozensets(st.integers(1, 9), max_size=5),
+    st.dictionaries(st.integers(1, 11), st.integers(0, 9), max_size=8),
+    st.fractions(Fraction(1, 4), 1),
+)
+@example([], [], False, random.Random(0), frozenset(), {}, Fraction(1, 2))
+@example([(), (9,)], [(1,)], True, random.Random(1), frozenset({9}), {9: 3}, Fraction(1))
+# a block may not start at the previous block's maximum
+@example([(1, 2), (2,)], [(1, 2)], False, random.Random(2), frozenset(), {}, Fraction(1))
+def test_family_operations_match_set_oracle(sets, other, with_empty, rnd, m, weights, lam):
+    """Every trie walk against a plain set of tuples, on families built from
+    shuffled, repeated, non-hereditary input in several insertion orders."""
+    oracle = set(sets) | {()} if with_empty else set(sets) - {()}
+    g_oracle = set(other)
+    shuffled = [rnd.sample(s, len(s)) for s in list(oracle) * 2]
+    rnd.shuffle(shuffled)
+    builds = [Family(shuffled), Family(sorted(oracle, reverse=True)), Family(map(list, oracle))]
+    f, g = builds[0], Family(other)
+
+    for built in builds:
+        assert built.members() == sorted(oracle)
+        assert len(built) == len(oracle) and bool(built) == bool(oracle)
+        assert built.contains_empty == (() in oracle)
+        assert built == f
+    probes = oracle | {s[:-1] for s in oracle} | {s + (10,) for s in oracle}
+    probes |= set(all_subsets(range(1, 6)))
+    for s in probes:
+        assert (s in f) == (s in oracle), s
+    for s in all_subsets(range(1, 5)):
+        assert (f == Family(oracle ^ {s})) is False
+
+    assert trace(f, m).members() == sorted({tuple(e for e in s if e in m) for s in oracle})
+    assert hereditary_closure(f).members() == sorted(
+        {t for s in oracle for t in all_subsets(s)}
+    )
+    assert oplus(f, g).members() == sorted(
+        {s + t for s in g_oracle for t in oracle if not s or not t or s[-1] < t[0]}
+    )
+    w = interval(1, 7)
+    assert otimes(f, g, w).members() == sorted(
+        s for s in all_subsets(w) if block_decomposable(s, oracle, g_oracle)
+    )
+
+    frac = {e: Fraction(v, 3) for e, v in weights.items()}
+    assert best_set_sum(f, frac) == max(
+        (sum((frac.get(e, 0) for e in s), Fraction(0)) for s in oracle), default=0
+    )
+    support = sorted(weights)
+    ws = [weights[e] for e in support]
+    for start in range(len(support)):
+        want = [
+            max((sum(ws[q] for q in range(start, j) if support[q] in s) for s in oracle), default=0)
+            for j in range(start + 1, len(support) + 1)
+        ]
+        assert best_run_sums(f, support, ws, start) == want
+
+    measure = PartitionMeasure.uniform(PIECES)
+    piece = {e: n for n, p in enumerate(PIECES, start=1) for e in p}
+    assert g_plus(f, measure).members() == sorted(
+        {tuple(sorted({piece[e] for e in s})) for s in oracle}
+    )
+    assert g_lambda(f, measure, lam).members() == sorted(
+        {
+            tuple(n for n, p in enumerate(PIECES, start=1) if len(set(p) & set(s)) >= lam * len(p))
+            for s in oracle
+        }
+    )

@@ -1,4 +1,6 @@
 import functools
+import gc
+import hashlib
 import itertools
 import tracemalloc
 
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierkit import (
+    Family,
     InclusionReport,
     OrdinalCNF,
     barrier_member,
@@ -182,6 +185,51 @@ def test_enumerate_level_zero_and_one():
 def test_enumerate_refuses_oversized_windows():
     with pytest.raises(ValueError):
         schreier_enumerate(ONE, interval(1, 25))
+
+
+def test_enumeration_leaves_no_object_per_member():
+    # the family lives in flat arrays, so while S_2(1..16) (24,653 members)
+    # is built and held, the collector tracks a few more objects, not one
+    # or two per trie node; the peak is read at every collection
+    peak = 0
+
+    def count(phase, info):
+        nonlocal peak
+        peak = max(peak, len(gc.get_objects()))
+
+    gc.collect()
+    before = len(gc.get_objects())
+    gc.callbacks.append(count)
+    try:
+        fml = schreier_enumerate(TWO, interval(1, 16))
+    finally:
+        gc.callbacks.remove(count)
+    assert len(fml) == 24653
+    assert len(gc.get_objects()) - before < 100
+    assert peak - before < 100
+
+
+def test_enumeration_writes_the_canonical_layout():
+    # the search writes the preorder arrays itself; they equal the arrays
+    # Family lays out from the member list, subtree ends included
+    for alpha in (ZERO, ONE, TWO, OMEGA, parse_ordinal("w*2")):
+        for w in (interval(1, 9), interval(3, 10), (), (5,)):
+            fml = schreier_enumerate(alpha, w)
+            ref = Family(fml.members())
+            assert fml == ref and fml._end == ref._end, (alpha, w)
+
+
+def test_enumeration_members_are_pinned():
+    # sha256 of repr(members()): the member lists and their order, as the
+    # trie of node objects produced them
+    for text, count, digest in (
+        ("2", 24653, "783a84d4397e8a5cb287ef0c1f8ed9ac28cb1fa6b221856c536998bbebeae899"),
+        ("w", 16400, "a339d43a04c54b6a637ac46484bb39924744c24fca580628b911853ed2c0fb3b"),
+        ("w*2", 32769, "d5125a9a6f6af5af4dbcbd65185229d38e819a8696ec2bb00d9a22771e8f353c"),
+    ):
+        members = schreier_enumerate(parse_ordinal(text), interval(1, 16)).members()
+        assert len(members) == count
+        assert hashlib.sha256(repr(members).encode()).hexdigest() == digest
 
 
 def test_spreading_property_window():

@@ -163,6 +163,21 @@ def test_cli_norm_prints_exact_values_past_float_range(tmp_path, capsys):
     assert format_rational(Fraction(-(10 ** 5000), 3)) == f"-1{'0' * 5000}/3"
 
 
+def test_cli_elements_past_64_bits(tmp_path, capsys):
+    # labels are Python ints, so a set element of 10^30 is kept exactly
+    big = 10**30
+    fam = write(tmp_path, "f.json", {"sets": [[1, big], [2]]})
+    assert main(["family", "--op", "closure", "--input", fam]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "hereditary": True, "sets": [[], [1], [1, big], [2], [big]]
+    }
+    vec = write(tmp_path, "x.json", {"coords": [[1, "3/2"], [big, 2]]})
+    assert main(["norm", "--family", fam, "--vector", vec]) == 0
+    assert capsys.readouterr().out == "7/2 (= 3.5)\n"
+    assert main(["norm", "--family", fam, "--vector", vec, "--p", "2"]) == 0
+    assert capsys.readouterr().out == "3.5 (exact 2-th power 49/4)\n"
+
+
 def test_cli_family_ops(tmp_path, capsys):
     fpath = write(tmp_path, "f.json", {"sets": [[1, 2]], "hereditary": None})
     assert main(["family", "--op", "closure", "--input", fpath]) == 0
