@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .families import FiniteSet, finite_set
+from .families import Family, FiniteSet, best_set_sum, finite_set
 from .schreier import barrier_member
 from .vectors import SparseVector
 
@@ -440,26 +440,22 @@ class TransversalReport:
     covered: tuple[tuple[tuple[int, ...], FiniteSet], ...]  # (subset indices, witness u)
     bound: int
 
-    @property
-    def equivalence_constant(self) -> int:
-        # every member set meets the selected points in at most `bound`
-        # indices, which caps the basis-equivalence constant at `bound`
-        return self.bound
 
+def _point_traces(pts: Sequence[IndexPoint], params: TParams) -> dict[FiniteSet, FiniteSet]:
+    """Each trace {i : pts[i-1] in F(u)} over the window barrier sets u, with its first u.
 
-def _covering_witness(
-    pts: Sequence[IndexPoint], params: TParams, cache: dict[FiniteSet, SymbolicSet]
-) -> Optional[FiniteSet]:
-    pieces = finite_set(pt.n for pt in pts)
+    One pass over ``barrier_window_members`` in lexicographic order; F(u) is
+    built only when some point's piece lies in u.  Traces hold 1-based
+    point positions, so they are finite sets.
+    """
+    traces: dict[FiniteSet, FiniteSet] = {}
     for u in barrier_window_members(params.window_max):
-        if not set(pieces).issubset(u):
-            continue
-        sym = cache.get(u)
-        if sym is None:
-            sym = cache[u] = f_of_u(u, params)
-        if all(point_membership(pt, sym) for pt in pts):
-            return u
-    return None
+        inside = [i for i, pt in enumerate(pts, 1) if pt.n in u]
+        if inside:
+            sym = f_of_u(u, params)
+            inside = [i for i in inside if point_membership(pts[i - 1], sym)]
+        traces.setdefault(tuple(inside), u)
+    return traces
 
 
 def transversal_trace_report(
@@ -468,9 +464,11 @@ def transversal_trace_report(
     """Find the covered (bound+1)-subsets of a transversal and dodge them.
 
     A subset of points is *covered* when a single window barrier set u has
-    all of them inside F(u); only u containing every touched piece index can
-    qualify, so the search over u is complete on the window.  The result is
-    the lexicographically first largest sub-transversal with no covered
+    all of them inside F(u); its witness is the first such u in
+    lexicographic order.  One scan of the window gives every point trace
+    with the first u that yields it, and the witness of a subset is the
+    least of those u whose trace holds it.  The result is the
+    lexicographically first largest sub-transversal with no covered
     (bound+1)-subset.
     """
     pieces = [pt.n for pt in transversal]
@@ -478,12 +476,13 @@ def transversal_trace_report(
         raise ValueError("not a transversal: two points share a piece")
     for pt in transversal:
         pt.validate(params)
-    cache: dict[FiniteSet, SymbolicSet] = {}
+    traces = [(set(t), u) for t, u in _point_traces(transversal, params).items()]
     covered: list[tuple[tuple[int, ...], FiniteSet]] = []
     for combo in itertools.combinations(range(len(transversal)), bound + 1):
-        witness = _covering_witness([transversal[i] for i in combo], params, cache)
-        if witness is not None:
-            covered.append((combo, witness))
+        need = {i + 1 for i in combo}
+        held = [u for t, u in traces if t >= need]
+        if held:
+            covered.append((combo, min(held)))
 
     bad = [set(c) for c, _ in covered]
     all_idx = range(len(transversal))
@@ -500,25 +499,18 @@ def transversal_norm(
 ) -> Fraction:
     """Exact family norm of sum a_i e_{pt_i} computed symbolically.
 
-    The candidate member sums are, for each window barrier set u, the sum of
-    |a_i| over the points lying in F(u); the sup part is max |a_i|.
+    The member sums are, for each window barrier set u, the sum of |a_i|
+    over the points lying in F(u), and the sup part is max |a_i|.  They are
+    the weights of the points' trace family, so ``best_set_sum`` on the
+    traces of the points with a_i != 0 gives their maximum.
     """
     if len(pts) != len(coeffs):
         raise ValueError("one coefficient per point required")
     coeffs = [abs(Fraction(c)) for c in coeffs]
-    best = max(coeffs, default=Fraction(0))
-    for u in barrier_window_members(params.window_max):
-        total = Fraction(0)
-        sym = None
-        for pt, a in zip(pts, coeffs):
-            if pt.n in u and a:
-                if sym is None:
-                    sym = f_of_u(u, params)
-                if point_membership(pt, sym):
-                    total += a
-        if total > best:
-            best = total
-    return best
+    live = [(pt, a) for pt, a in zip(pts, coeffs) if a]
+    traces = Family(_point_traces([pt for pt, _ in live], params))
+    weights = {i: a for i, (_, a) in enumerate(live, 1)}
+    return max(max(coeffs, default=Fraction(0)), best_set_sum(traces, weights))
 
 
 def averages_norm(a: SparseVector, params: TParams) -> Fraction:
@@ -535,7 +527,9 @@ def averages_norm(a: SparseVector, params: TParams) -> Fraction:
         )
     if not a:
         return Fraction(0)
-    best = max(abs(v) / index_cardinality(n, params) for n, v in a.items())
+    # the floor max |a_n| / #I_n needs only n <= 3, where #I_n = 1: each n >= 4
+    # sits at position 2 of the window barrier set {2, n}, with weight 1
+    best = max((abs(v) for n, v in a.items() if n <= 3), default=Fraction(0))
     for u in barrier_window_members(params.window_max):
         total = sum(
             (abs(a[n]) * measure_ratio(u, n, params) for n in u if a[n]), Fraction(0)

@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from schreierkit import OrdinalCNF, fundamental_sequence
-from schreierkit.tfamily import digit_keys
+from schreierkit.tfamily import digit_keys, f_of_u, point_membership
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
     block_decomposable,
     block_power_brute,
@@ -78,7 +78,7 @@ def schreier_member_naive(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
 
 
 def schreier_level_member(level: int, s: tuple[int, ...]) -> bool:
-    """Membership at finite level by unmemoized recursion on block splits."""
+    """Membership at finite level by exhaustive block splits, memoized within the call."""
     return schreier_member_naive(OrdinalCNF.from_int(level), s)
 
 
@@ -137,3 +137,28 @@ def sample_point_randint(n, params, seed):
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return {key: rng.randint(1, params.radix(key[0])) for key in digit_keys(n, params)}
+
+
+def window_barrier_sets(window_max):
+    """Every u in 1..window_max with #u = min u, in lexicographic order."""
+    return sorted(u for u in all_subsets(range(1, window_max + 1)) if u and len(u) == u[0])
+
+
+def transversal_norm_scan(pts, coeffs, params):
+    """max |a_i| and, per window barrier set u, the sum of |a_i| over the points in F(u)."""
+    best = max((abs(Fraction(a)) for a in coeffs), default=Fraction(0))
+    for u in window_barrier_sets(params.window_max):
+        sym = f_of_u(u, params)
+        inside = [abs(Fraction(a)) for pt, a in zip(pts, coeffs)
+                  if pt.n in u and point_membership(pt, sym)]
+        best = max(best, sum(inside, Fraction(0)))
+    return best
+
+
+def covering_witness_scan(pts, params):
+    """The first window barrier set u with every point in F(u), or None."""
+    for u in window_barrier_sets(params.window_max):
+        sym = f_of_u(u, params)
+        if all(pt.n in u and point_membership(pt, sym) for pt in pts):
+            return u
+    return None

@@ -333,3 +333,9 @@ def test_verify_determinism(tmp_path):
     assert hashlib.sha256(b.read_bytes()).hexdigest() == (
         "2d45fb6236d00e4e4bb26d1ec39d60df3b31fa4628dd50396a6934aca53cc805"
     )
+    # the transversal queries past the default window 7
+    tf_args = ["tfamily", "verify", "--seed", "12345", "--window-max", "12", "--output", str(b)]
+    assert cli_main(tf_args) == 0
+    assert hashlib.sha256(b.read_bytes()).hexdigest() == (
+        "0baaf4dd64167e019b453dca3f34dfc01a4bb738ba03eace0e6feb5fc81e4dbc"
+    )

@@ -25,7 +25,13 @@ from schreierkit import (
     transversal_trace_report,
 )
 
-from oracles import disequality_solutions, eh_set, sample_point_randint
+from oracles import (
+    covering_witness_scan,
+    disequality_solutions,
+    eh_set,
+    sample_point_randint,
+    transversal_norm_scan,
+)
 from schreierkit.tfamily import digit_keys
 
 HALF = Fraction(1, 2)
@@ -304,3 +310,30 @@ def test_transversal_norm_sandwich():
         v = transversal_norm(chosen, coeffs, P7)
         top = max(coeffs)
         assert top <= v <= 4 * top
+
+
+def test_transversal_queries_match_barrier_scans():
+    # default radix tables on windows 4..10, plus an all-2 override on which
+    # half the digit pairs clash, so the point traces vary
+    tables = [TParams.build(HALF, n) for n in range(4, 11)]
+    tables.append(TParams.build(HALF, 9, radices={m: 2 for m in range(4, 10)}))
+    rng = random.Random(2024)
+    checked = 0
+    for t_idx in range(100):
+        params = tables[t_idx % len(tables)]
+        window = range(1, params.window_max + 1)
+        pieces = sorted(rng.sample(window, rng.randint(1, min(7, params.window_max))))
+        pts = [sample_point(n, params, rng) for n in pieces]
+        bound = rng.randint(1, 3)
+        rep = transversal_trace_report(pts, params, bound)
+        witnesses = dict(rep.covered)
+        assert list(witnesses) == sorted(witnesses)
+        for combo in itertools.combinations(range(len(pts)), bound + 1):
+            want = covering_witness_scan([pts[i] for i in combo], params)
+            assert witnesses.get(combo) == want, (t_idx, combo)
+            checked += want is not None
+        chosen = [pts[i] for i in rep.selected]
+        for sub in (pts, chosen):
+            coeffs = [rng.choice((0, 0, 1, 3, Fraction(1, 2), Fraction(-7, 3))) for _ in sub]
+            assert transversal_norm(sub, coeffs, params) == transversal_norm_scan(sub, coeffs, params)
+    assert checked > 50  # the covered lists are not all empty
