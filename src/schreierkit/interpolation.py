@@ -25,7 +25,7 @@ from typing import Optional, Union
 from .families import Family, maximal_mask, norming_sets
 from .lp import LPResult, solve_lp_reduced
 from .norms import float_root
-from .vectors import SparseVector
+from .vectors import Rational, SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
 
@@ -85,31 +85,32 @@ def _distance_lp(
     m = len(supp)
     pos = {k: i for i, k in enumerate(supp)}
     absx = [abs(x[k]) for k in supp]
-    budget = Fraction(2**level)
+    budget = 2**level
     gauge = lam is None
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
+    a_ub: list[list[Rational]] = []
+    b_ub: list[Rational] = []
     # z_k <= |x_k|
     for i in range(m):
-        row = [Fraction(0)] * (m + 1)
-        row[i] = Fraction(1)
+        row = [0] * (m + 1)
+        row[i] = 1
         a_ub.append(row)
         b_ub.append(absx[i])
     # sum of z_k over each norming set <= t, or <= 2^{-level} lam
     sets = norming_sets(family, supp)
+    last = Fraction(-1, budget) if gauge else -1
     for s in sets:
-        row = [Fraction(0)] * (m + 1)
+        row = [0] * (m + 1)
         for k in s:
-            row[pos[k]] = Fraction(1)
-        row[m] = -1 / budget if gauge else Fraction(-1)
+            row[pos[k]] = 1
+        row[m] = last
         a_ub.append(row)
-        b_ub.append(Fraction(0))
+        b_ub.append(0)
     # ||y||_1 = ||x||_1 - sum of z_k <= 2^level lam, or <= 2^level |lam|
-    a_ub.append([Fraction(-1)] * m + [-budget if gauge else Fraction(0)])
+    a_ub.append([-1] * m + [-budget if gauge else 0])
     b_ub.append((0 if gauge else budget * abs(lam)) - sum(absx))
 
     keep = [True] * m + maximal_mask(sets) + [True]
-    c = [Fraction(0)] * m + [Fraction(1)]
+    c = [0] * m + [1]
     res = solve_lp_reduced(c, a_ub, b_ub, keep)
     if not res.optimal:
         raise RuntimeError(f"distance LP unexpectedly {res.status}")

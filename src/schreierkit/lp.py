@@ -5,30 +5,35 @@ terminates on every input.  Problems are stated as
 
     minimize c.x   subject to   A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0.
 
-The tableau holds Python ints.  Each row, and each cost vector, is scaled
-once by the lcm of its denominators, and pivots are fraction-free
-Gauss-Jordan steps (Edmonds 1967, Bareiss 1968): with one common denominator
-d for the whole tableau, a pivot on p replaces row i by
-(p * row_i - row_i[s] * pivot_row) / d, a division that is always exact,
-and then sets d = p.  Ratio tests compare by cross-multiplication, so the
-pivot sequence is the one Bland's rule takes in exact rationals.  The
-primal point and the duals are read back as ``Fraction``s with the row
-scales undone, and no float is used anywhere.
+Entries may be ints or ``Fraction``s, read as they are; any other entry
+goes through ``Fraction`` first.  The tableau holds Python ints.  Each row
+with its rhs, and the cost vector, is scaled once by the lcm of its
+denominators, and pivots are fraction-free Gauss-Jordan steps (Edmonds 1967,
+Bareiss 1968): with one common denominator d for the whole tableau, a pivot
+on p replaces row i by (p * row_i - row_i[s] * pivot_row) / d, a division
+that is always exact, and then sets d = p.  Ratio tests compare by
+cross-multiplication, so the pivot sequence is the one Bland's rule takes in
+exact rationals.  No float is used anywhere.
 
-Every "optimal" result carries a dual vector and is verified exactly, in
-``Fraction``s, against the original data (primal feasibility, dual
-feasibility, and equality of the two objectives).  A failed check raises
-:class:`LPCertificateError`, so an optimal result doubles as a certificate.
-Problem sizes here are small, and no attempt is made at sparse or revised
-variants.
+Every "optimal" result carries a dual vector and is verified exactly
+against every row (primal feasibility, dual feasibility, and equality of the
+two objectives).  The check runs in ints, on the scaled rows and on the
+certificate as the tableau leaves it: x = X/d and y_i = Y_i scale_i /
+(d cscale), with scale_i the scale of row i and cscale that of the costs.
+Only then are x, the duals and both objectives read back as ``Fraction``s,
+with the scales undone.  A failed check raises :class:`LPCertificateError`,
+so an optimal result doubles as a certificate.  Problem sizes here are
+small, and no attempt is made at sparse or revised variants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+from .vectors import Rational
 
 
 class LPCertificateError(AssertionError):
@@ -50,44 +55,46 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _frac_matrix(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in rows]
+def _int_scaled(values: Sequence[Rational]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, as ints, and that lcm.
 
-
-def _int_scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, as ints, and that lcm."""
+    int and ``Fraction`` entries are read as they are; any other entry goes
+    through ``Fraction`` first."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def solve_lp(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]] = (),
-    b_ub: Sequence[Fraction] = (),
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    c: Sequence[Rational],
+    a_ub: Sequence[Sequence[Rational]] = (),
+    b_ub: Sequence[Rational] = (),
+    a_eq: Sequence[Sequence[Rational]] = (),
+    b_eq: Sequence[Rational] = (),
 ) -> LPResult:
-    c = [Fraction(v) for v in c]
-    a_ub = _frac_matrix(a_ub)
-    b_ub = [Fraction(v) for v in b_ub]
-    a_eq = _frac_matrix(a_eq)
-    b_eq = [Fraction(v) for v in b_eq]
+    c, a_ub, b_ub, a_eq, b_eq = list(c), list(a_ub), list(b_ub), list(a_eq), list(b_eq)
     n = len(c)
     if any(len(r) != n for r in a_ub) or any(len(r) != n for r in a_eq):
         raise ValueError("constraint row length does not match len(c)")
     if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
         raise ValueError("rhs length does not match constraint count")
 
-    rows = a_ub + a_eq
-    rhs = b_ub + b_eq
-    m = len(rows)
-    flips = [-1 if b < 0 else 1 for b in rhs]
+    n_ub = len(a_ub)
+    # row i with its rhs last, times scales[i], the lcm of their denominators
+    scaled: list[list[int]] = []
+    scales: list[int] = []
+    for row, b in zip(a_ub + a_eq, b_ub + b_eq):
+        ints, scale = _int_scaled([*row, b])
+        scaled.append(ints)
+        scales.append(scale)
+    m = len(scaled)
+    flips = [-1 if row[-1] < 0 else 1 for row in scaled]
     # column layout: x, one slack per ub row, then one artificial per row
     # that needs one: equalities, and rows flipped to a nonnegative rhs (a
     # flipped slack has coefficient -1, unusable as an initial basis)
-    slack_col: list[Optional[int]] = [n + i if i < len(a_ub) else None for i in range(m)]
+    slack_col: list[Optional[int]] = [n + i if i < n_ub else None for i in range(m)]
     art_col: list[Optional[int]] = []
-    ncols = n + len(a_ub)
+    ncols = n + n_ub
     for i in range(m):
         if slack_col[i] is None or flips[i] < 0:
             art_col.append(ncols)
@@ -95,21 +102,18 @@ def solve_lp(
         else:
             art_col.append(None)
 
-    # The tableau holds ints, rhs last.  Row i is the original row and rhs,
-    # flipped and multiplied by scales[i], the lcm of their denominators; its
-    # slack and artificial keep coefficients +-1 and 1, so they stand for
-    # scales[i] times the original slack and artificial.
+    # The tableau holds ints, rhs last.  Row i is the scaled row, flipped;
+    # its slack and artificial keep coefficients +-1 and 1, so they stand
+    # for scales[i] times the original slack and artificial.
     tableau: list[list[int]] = []
-    scales: list[int] = []
-    for i in range(m):
-        ints, scale = _int_scaled(rows[i] + [rhs[i]])
-        row = [flips[i] * v for v in ints[:-1]] + [0] * (ncols - n) + [flips[i] * ints[-1]]
+    for i, ints in enumerate(scaled):
+        f = flips[i]
+        row = [f * v for v in ints[:-1]] + [0] * (ncols - n) + [f * ints[-1]]
         if slack_col[i] is not None:
-            row[slack_col[i]] = flips[i]
+            row[slack_col[i]] = f
         if art_col[i] is not None:
             row[art_col[i]] = 1
         tableau.append(row)
-        scales.append(scale)
 
     basis = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
     artificials = {col for col in art_col if col is not None}
@@ -212,78 +216,93 @@ def solve_lp(
     if status != "optimal":
         return LPResult("unbounded", None, None, None, None, None, tuple(pivots))
 
-    x = [Fraction(0)] * n
+    # the certificate in ints, as the tableau leaves it: x = X/d, objective
+    # value/(d cscale), and y_i = Y_i scales[i]/(d cscale), with -flips[i] Y_i
+    # the cost row at row i's unit column (scales[i] times the original
+    # slack or artificial, so y_i takes the row scale back)
+    xs = [0] * n
     for i, b in enumerate(basis):
         if b < n:
-            x[b] = Fraction(tableau[i][-1], d)
-    objective = Fraction(-obj2[-1], d * cscale)
+            xs[b] = tableau[i][-1]
+    value = -obj2[-1]
+    ys = [-flips[i] * obj2[slack_col[i] if art_col[i] is None else art_col[i]] for i in range(m)]
+    dual_value = _certify(costs2, scaled[:n_ub], scaled[n_ub:], xs, d, value, ys[:n_ub], ys[n_ub:])
 
-    # undo the row scales: the unit column of row i is scales[i] times the
-    # original slack or artificial, so its reduced cost is 1/scales[i] times
-    dual: list[Fraction] = []
-    for i in range(m):
-        col = art_col[i] if art_col[i] is not None else slack_col[i]
-        dual.append(Fraction(-flips[i] * scales[i] * obj2[col], d * cscale))
-    dual_ub = dual[: len(a_ub)]
-    dual_eq = dual[len(a_ub):]
-
-    dual_obj = _certify(c, a_ub, b_ub, a_eq, b_eq, x, objective, dual_ub, dual_eq)
-    return LPResult("optimal", x, objective, dual_ub, dual_eq, dual_obj, tuple(pivots))
+    den = d * cscale
+    dual = [Fraction(y * scale, den) for y, scale in zip(ys, scales)]
+    return LPResult(
+        "optimal", [Fraction(v, d) for v in xs], Fraction(value, den),
+        dual[:n_ub], dual[n_ub:], Fraction(dual_value, den), tuple(pivots),
+    )
 
 
 def solve_lp_reduced(
-    c: Sequence[Fraction],
-    a_ub: Sequence[Sequence[Fraction]],
-    b_ub: Sequence[Fraction],
+    c: Sequence[Rational],
+    a_ub: Sequence[Sequence[Rational]],
+    b_ub: Sequence[Rational],
     keep: Sequence[bool],
-    a_eq: Sequence[Sequence[Fraction]] = (),
-    b_eq: Sequence[Fraction] = (),
+    a_eq: Sequence[Sequence[Rational]] = (),
+    b_eq: Sequence[Rational] = (),
 ) -> LPResult:
     """:func:`solve_lp` on the ub rows ``i`` with ``keep[i]``, answered for all.
 
     The caller asserts that every other ub row is implied by the kept rows
-    and x >= 0.  Each such row is checked exactly against the optimal x
-    (:class:`LPCertificateError` if it fails) and gets dual 0 in ``dual_ub``,
-    so an optimal result and its certificate are those of the full LP.
+    and x >= 0.  Only the kept rows reach :func:`solve_lp`, whose certificate
+    covers them.  Each other row is scaled to ints and checked exactly
+    against the optimal x, written as X/D over the lcm D of its denominators
+    (:class:`LPCertificateError` if it fails), and gets dual 0 in
+    ``dual_ub``, so an optimal result and its certificate are those of the
+    full LP.
     """
     kept = [i for i, flag in enumerate(keep) if flag]
     res = solve_lp(c, [a_ub[i] for i in kept], [b_ub[i] for i in kept], a_eq, b_eq)
     if not res.optimal:
         return res
+    xs, den = _int_scaled(res.x)
+    nz = [(j, v) for j, v in enumerate(xs) if v]
+    for row, b, flag in zip(a_ub, b_ub, keep):
+        if not flag:
+            ints, _ = _int_scaled([*row, b])
+            if sum(ints[j] * v for j, v in nz) > ints[-1] * den:
+                raise LPCertificateError("primal violation of a row left out as implied")
     dual_ub = [Fraction(0)] * len(a_ub)
     for i, y in zip(kept, res.dual_ub):
         dual_ub[i] = y
-    for row, b, flag in zip(a_ub, b_ub, keep):
-        if not flag and sum(Fraction(a) * v for a, v in zip(row, res.x) if a) > b:
-            raise LPCertificateError("primal violation of a row left out as implied")
-    return replace(res, dual_ub=dual_ub)
+    return LPResult(
+        res.status, res.x, res.objective, dual_ub, res.dual_eq, res.dual_objective, res.pivots
+    )
 
 
-def _certify(c, a_ub, b_ub, a_eq, b_eq, x, objective, dual_ub, dual_eq) -> Fraction:
-    """Check primal and dual feasibility and strong duality; return y.b.
+def _certify(costs, ub, eq, xs, d, value, y_ub, y_eq) -> int:
+    """Check primal and dual feasibility and strong duality in ints; return Y.B.
 
-    Every check is exact; terms with x_j = 0 or y_i = 0 are skipped, as they
-    add nothing to the sums.
+    ``costs`` is c times cscale; ``ub`` and ``eq`` hold each row A_i times
+    its scale, rhs B_i last.  The certificate is x = X/d with X = ``xs``,
+    objective value/(d cscale) and y_i = Y_i scale_i/(d cscale) with
+    Y = ``y_ub`` + ``y_eq``, d > 0.  Multiplied through by the positive
+    scales, the checks are X >= 0, A.X <= B d (= on eq rows), C.X = value,
+    Y <= 0 on ub rows, C_j d - sum_i Y_i A_ij >= 0 and sum_i Y_i B_i =
+    value.  Terms with X_j = 0 or Y_i = 0 are skipped, as they add nothing.
     """
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in xs):
         raise LPCertificateError("primal negativity")
-    xs = [(j, v) for j, v in enumerate(x) if v]
-    for row, b in zip(a_ub, b_ub):
-        if sum(row[j] * v for j, v in xs) > b:
+    nz = [(j, v) for j, v in enumerate(xs) if v]
+    for row in ub:
+        if sum(row[j] * v for j, v in nz) > row[-1] * d:
             raise LPCertificateError("primal ub violation")
-    for row, b in zip(a_eq, b_eq):
-        if sum(row[j] * v for j, v in xs) != b:
+    for row in eq:
+        if sum(row[j] * v for j, v in nz) != row[-1] * d:
             raise LPCertificateError("primal eq violation")
-    if sum(c[j] * v for j, v in xs) != objective:
+    if sum(costs[j] * v for j, v in nz) != value:
         raise LPCertificateError("objective mismatch")
-    if any(y > 0 for y in dual_ub):
+    if any(y > 0 for y in y_ub):
         raise LPCertificateError("dual sign violation")
-    ys = [(y, row, b) for y, row, b in zip(dual_ub, a_ub, b_ub) if y]
-    ys += [(y, row, b) for y, row, b in zip(dual_eq, a_eq, b_eq) if y]
-    for j, cj in enumerate(c):
-        if cj - sum(y * row[j] for y, row, _ in ys) < 0:
+    ys = [(y, row) for y, row in zip(y_ub, ub) if y]
+    ys += [(y, row) for y, row in zip(y_eq, eq) if y]
+    for j, cj in enumerate(costs):
+        if cj * d - sum(y * row[j] for y, row in ys) < 0:
             raise LPCertificateError("dual feasibility violation")
-    dual_obj = sum((y * b for y, _, b in ys), Fraction(0))
-    if dual_obj != objective:
+    dual_value = sum(y * row[-1] for y, row in ys)
+    if dual_value != value:
         raise LPCertificateError("strong duality violation")
-    return dual_obj
+    return dual_value

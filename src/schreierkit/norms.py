@@ -235,21 +235,25 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
     """
     if not ys:
         raise ValueError("need at least one vector")
-    ys = [y.abs() for y in ys]
-    union_supp = finite_set({k for y in ys for k in y.support} or {1})
+    # |y_n| = W_n / den_n, with W_n an int map scaled once by the lcm den_n
+    weights = []
+    for y in ys:
+        den = math.lcm(*(v.denominator for _, v in y.items()))
+        weights.append(({e: abs(v.numerator) * (den // v.denominator) for e, v in y.items()}, den))
+    union_supp = finite_set({e for w, _ in weights for e in w} or {1})
     functionals = norming_sets(family, union_supp)
 
     k = len(ys)
-    # variables: a_1..a_k, t;  minimize t
-    c = [Fraction(0)] * k + [Fraction(1)]
-    a_ub = []
-    b_ub = []
-    for s in functionals:
-        row = [sum((y[e] for e in s), Fraction(0)) for y in ys] + [Fraction(-1)]
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
-    a_eq = [[Fraction(1)] * k + [Fraction(0)]]
-    b_eq = [Fraction(1)]
+    # variables: a_1..a_k, t;  minimize t subject to, per functional s,
+    # sum_n a_n |y_n|(s) <= t, with |y_n|(s) = W_n(s) / den_n
+    c = [0] * k + [1]
+    a_ub = [
+        [Fraction(sum(w.get(e, 0) for e in s), den) for w, den in weights] + [-1]
+        for s in functionals
+    ]
+    b_ub = [0] * len(functionals)
+    a_eq = [[1] * k + [0]]
+    b_eq = [1]
     res = solve_lp_reduced(c, a_ub, b_ub, maximal_mask(functionals), a_eq, b_eq)
     if not res.optimal:
         raise RuntimeError(f"spreading LP unexpectedly {res.status}")

@@ -237,6 +237,11 @@ def f_of_u(u: Iterable[int], params: TParams) -> SymbolicSet:
         raise ValueError(f"{uu} is not a barrier set (#s = min s required)")
     if uu[-1] > params.window_max:
         raise ValueError(f"max {uu[-1]} exceeds window_max {params.window_max}")
+    return _barrier_f(uu)
+
+
+def _barrier_f(uu: FiniteSet) -> SymbolicSet:
+    """F(u) for a barrier set u that is already a sorted, checked tuple."""
     n1 = uu[0]
     constraints: dict[int, tuple[tuple[DigitKey, DigitKey], ...]] = {}
     if n1 > 3:
@@ -445,14 +450,15 @@ def _point_traces(pts: Sequence[IndexPoint], params: TParams) -> dict[FiniteSet,
     """Each trace {i : pts[i-1] in F(u)} over the window barrier sets u, with its first u.
 
     One pass over ``barrier_window_members`` in lexicographic order; F(u) is
-    built only when some point's piece lies in u.  Traces hold 1-based
-    point positions, so they are finite sets.
+    built only when some point's piece lies in u, without re-validating u:
+    the enumeration yields only barrier sets inside the window.  Traces hold
+    1-based point positions, so they are finite sets.
     """
     traces: dict[FiniteSet, FiniteSet] = {}
     for u in barrier_window_members(params.window_max):
         inside = [i for i, pt in enumerate(pts, 1) if pt.n in u]
         if inside:
-            sym = f_of_u(u, params)
+            sym = _barrier_f(u)
             inside = [i for i in inside if point_membership(pts[i - 1], sym)]
         traces.setdefault(tuple(inside), u)
     return traces

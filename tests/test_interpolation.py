@@ -17,8 +17,11 @@ from schreierkit import (
     interval,
     schreier_family,
     solve_lp,
+    spreading_constant,
     trace,
 )
+from schreierkit import lp
+from schreierkit.families import maximal_mask, norming_sets
 
 BASE = bounded_cardinality_family(interval(1, 5), 2)
 
@@ -219,3 +222,34 @@ def test_lattice_lp_equals_linearized_lp(coords, sets, level, sign, size):
     ref = linearized_lp(x, family, level, lam)
     assert ref.optimal
     assert inner_distance(x, family, lam, level).objective == ref.objective
+
+
+def test_each_gauge_and_spreading_call_solves_one_lp_on_the_kept_rows(monkeypatch):
+    # the hook a tracer wraps: solve_lp_reduced reaches solve_lp through the
+    # module global, so a wrapper there sees every solve and its row count
+    seen = []
+    real = lp.solve_lp
+
+    def counted(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
+        seen.append(len(a_ub) + len(a_eq))
+        return real(c, a_ub, b_ub, a_eq, b_eq)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    family = schreier_family(interval(1, 8))
+    x = SparseVector({k: Fraction(k, 3) for k in (2, 3, 5, 6, 8)})
+    mask = maximal_mask(norming_sets(family, x.support))
+    assert sum(mask) < len(mask)
+    kept = len(x.support) + sum(mask) + 1  # boxes, maximal sets, the l1 row
+    for call in (
+        lambda: dfjp_gauge(GaugeProblem(x, 2, family)),
+        lambda: inner_distance(x, family, Fraction(1, 2), 2),
+    ):
+        seen.clear()
+        call()
+        assert seen == [kept]
+    ys = [SparseVector({2: 1, 5: Fraction(1, 2)}), SparseVector({3: 2, 6: 1, 8: 1})]
+    mask = maximal_mask(norming_sets(family, (2, 3, 5, 6, 8)))
+    assert sum(mask) < len(mask)
+    seen.clear()
+    spreading_constant(ys, family)
+    assert seen == [sum(mask) + 1]  # maximal sets, the convexity row

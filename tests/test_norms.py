@@ -27,7 +27,8 @@ from schreierkit import (
     uniform_weak_bound,
 )
 
-from schreierkit.families import best_run_sums
+from schreierkit.families import best_run_sums, norming_sets
+from schreierkit.lp import solve_lp
 from schreierkit.norms import float_root
 
 from oracles import block_power_brute, family_norm_brute
@@ -320,6 +321,36 @@ def test_spreading_constants_exact():
 def test_spreading_constant_signed_inputs_use_absolute_values():
     ys = [SparseVector({2: -1}), SparseVector({3: 1})]
     assert spreading_constant(ys, S8).value == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    signed_vectors_strategy,
+    st.lists(st.frozensets(st.integers(1, 6), max_size=4), max_size=6).map(Family),
+    st.booleans(),
+)
+def test_spreading_constant_matches_the_full_lp(ys, family, closed):
+    if closed:
+        family = hereditary_closure(family)
+    res = spreading_constant(ys, family)
+    # the LP from the definition: a Fraction row per norming set, none masked
+    absys = [y.abs() for y in ys]
+    sets = norming_sets(family, tuple(sorted({k for y in ys for k in y.support} or {1})))
+    k = len(ys)
+    full = solve_lp(
+        [Fraction(0)] * k + [Fraction(1)],
+        [[sum((y[e] for e in s), Fraction(0)) for y in absys] + [Fraction(-1)] for s in sets],
+        [Fraction(0)] * len(sets),
+        [[Fraction(1)] * k + [Fraction(0)]],
+        [Fraction(1)],
+    )
+    assert res.value == full.objective == res.lp.dual_objective == full.dual_objective
+    assert len(res.lp.dual_ub) == len(sets)
+    combo: dict[int, Fraction] = {}
+    for a, y in zip(res.coefficients, absys):
+        for e, v in y.items():
+            combo[e] = combo.get(e, Fraction(0)) + a * v
+    assert res.value == family_norm_brute(list(family), combo)
 
 
 def test_cesaro_profiles():

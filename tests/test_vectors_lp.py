@@ -111,16 +111,17 @@ def test_lp_rejects_ragged_input():
 
 
 fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+integral = st.builds(Fraction, st.integers(-6, 6))
 
 
 @st.composite
-def bounded_lps(draw):
+def bounded_lps(draw, entries=fractions):
     n = draw(st.integers(1, 3))
-    row = st.lists(fractions, min_size=n, max_size=n)
+    row = st.lists(entries, min_size=n, max_size=n)
     a_ub = draw(st.lists(row, max_size=3))
-    b_ub = draw(st.lists(fractions, min_size=len(a_ub), max_size=len(a_ub)))
+    b_ub = draw(st.lists(entries, min_size=len(a_ub), max_size=len(a_ub)))
     a_eq = draw(st.lists(row, max_size=2))
-    b_eq = draw(st.lists(fractions, min_size=len(a_eq), max_size=len(a_eq)))
+    b_eq = draw(st.lists(entries, min_size=len(a_eq), max_size=len(a_eq)))
     if a_ub and draw(st.booleans()):
         a_ub.append(a_ub[0])
         b_ub.append(b_ub[0])
@@ -157,17 +158,19 @@ def test_reduced_lp_answers_for_every_row():
 
 def test_certify_rejects_every_broken_certificate():
     # min -x - y over x + 2y <= 4, 3x + y <= 6, x <= 10, x - y = 0: optimum at
-    # x = y = 4/3; the row x <= 10 is slack, so its dual is 0
-    c = [Fraction(-1), Fraction(-1)]
-    a_ub = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(1)], [Fraction(1), Fraction(0)]]
-    b_ub = [Fraction(4), Fraction(6), Fraction(10)]
-    a_eq, b_eq = [[Fraction(1), Fraction(-1)]], [Fraction(0)]
-    res = solve_lp(c, a_ub, b_ub, a_eq, b_eq)
+    # x = y = 4/3 with duals (-2/3, 0, 0) and -1/3; the row x <= 10 is slack,
+    # so its dual is 0.  Every row is integral, so every scale is 1, and over
+    # d = 3 the int certificate is X = (4, 4), value -8, Y = (-2, 0, 0), (-1).
+    c = [-1, -1]
+    ub = [[1, 2, 4], [3, 1, 6], [1, 0, 10]]
+    eq = [[1, -1, 0]]
+    res = solve_lp(c, [r[:-1] for r in ub], [r[-1] for r in ub], [r[:-1] for r in eq], [0])
     assert res.optimal and res.x == [Fraction(4, 3), Fraction(4, 3)]
-    assert res.dual_ub[2] == 0
-    good = (res.x, res.objective, res.dual_ub, res.dual_eq)
-    dual_obj = _certify(c, a_ub, b_ub, a_eq, b_eq, *good)
-    assert type(dual_obj) is Fraction and dual_obj == res.objective
+    assert res.dual_ub == [Fraction(-2, 3), 0, 0] and res.dual_eq == [Fraction(-1, 3)]
+    assert res.objective == res.dual_objective == Fraction(-8, 3)
+    good = ([4, 4], 3, -8, [-2, 0, 0], [-1])
+    dual_value = _certify(c, ub, eq, *good)
+    assert type(dual_value) is int and dual_value == -8
 
     def broken(i, j, delta):
         parts = [list(v) if isinstance(v, list) else v for v in good]
@@ -178,13 +181,38 @@ def test_certify_rejects_every_broken_certificate():
         return parts
 
     for i, j, delta, check in (
-        (0, 0, Fraction(-5, 3), "primal negativity"),
-        (0, 0, Fraction(1, 3), "primal ub violation"),
-        (0, 1, Fraction(-1, 3), "primal eq violation"),
-        (1, None, Fraction(-1), "objective mismatch"),
-        (2, 2, Fraction(1), "dual sign violation"),
-        (3, 0, Fraction(1, 5), "dual feasibility violation"),
-        (2, 2, Fraction(-1), "strong duality violation"),  # a zero dual made nonzero
+        (0, 0, -5, "primal negativity"),  # x = -1/3
+        (0, 0, 1, "primal ub violation"),  # x = 5/3 breaks x + 2y <= 4
+        (0, 1, -1, "primal eq violation"),  # y = 1 breaks x - y = 0
+        (2, None, -3, "objective mismatch"),  # -11/3 against c.x = -8/3
+        (3, 2, 1, "dual sign violation"),
+        (4, 0, 1, "dual feasibility violation"),  # y_eq = 0 leaves -1/3 on column x
+        (3, 2, -1, "strong duality violation"),  # a zero dual made nonzero
     ):
         with pytest.raises(LPCertificateError, match=check):
-            _certify(c, a_ub, b_ub, a_eq, b_eq, *broken(i, j, delta))
+            _certify(c, ub, eq, *broken(i, j, delta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(bounded_lps(), bounded_lps(integral)), st.randoms(use_true_random=False))
+def test_lp_results_do_not_depend_on_entry_types(lp, rnd):
+    def as_int(v):
+        return v.numerator if v.denominator == 1 else v
+
+    def mixed(v):
+        return rnd.choice((as_int(v), v, str(v)))
+
+    want = solve_lp(*lp)
+    for convert in (as_int, mixed):
+        c, a_ub, b_ub, a_eq, b_eq = lp
+        got = solve_lp(
+            [convert(v) for v in c],
+            [[convert(v) for v in row] for row in a_ub],
+            [convert(v) for v in b_ub],
+            [[convert(v) for v in row] for row in a_eq],
+            [convert(v) for v in b_eq],
+        )
+        assert got == want
+        if got.optimal:
+            values = got.x + got.dual_ub + got.dual_eq + [got.objective, got.dual_objective]
+            assert all(type(v) is Fraction for v in values)
