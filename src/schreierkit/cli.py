@@ -358,7 +358,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.seed = args.seed_explicit if args.seed_explicit is not None else 12345
     try:
         return args.fn(args)
-    except (InputError, ValueError, OSError, KeyError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 FiniteSet = tuple[int, ...]
 
@@ -360,8 +359,7 @@ def largeness_witness(family: Family, k: Iterable[int], n: int) -> Optional[Fini
     return None
 
 
-@dataclass(frozen=True)
-class UniformTraceResult:
+class UniformTraceResult(NamedTuple):
     """Outcome of `find_uniform_trace`; budget exhaustion is distinct from absence."""
 
     status: str  # "found" | "absent" | "budget-exceeded"

@@ -18,9 +18,8 @@ with a verified duality certificate gives the gauge value itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .families import Family, maximal_mask, norming_sets
 from .lp import LPResult, solve_lp_reduced
@@ -30,23 +29,28 @@ from .vectors import Rational, SparseVector
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
 
 
-@dataclass(frozen=True)
-class GaugeProblem:
-    """One gauge evaluation: vector, level n, family.
-
-    ``tolerance`` is validated but ignored: the gauge is computed exactly.
-    """
-
+class _GaugeFields(NamedTuple):
     x: SparseVector
     level: int
     family: Family
     tolerance: Fraction = DEFAULT_TOLERANCE
 
-    def __post_init__(self) -> None:
+
+class GaugeProblem(_GaugeFields):
+    """One gauge evaluation: vector, level n, family.
+
+    ``tolerance`` is validated but ignored: the gauge is computed exactly.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GaugeProblem":
+        self = super().__new__(cls, *args, **kwargs)
         if self.level < 0:
             raise ValueError("level must be >= 0")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        return self
 
 
 def inner_distance(
@@ -117,8 +121,7 @@ def _distance_lp(
     return res
 
 
-@dataclass(frozen=True)
-class GaugeBracket:
+class GaugeBracket(NamedTuple):
     lo: Fraction
     hi: Fraction
     level: int
@@ -140,8 +143,7 @@ def dfjp_gauge(prob: GaugeProblem) -> GaugeBracket:
     return GaugeBracket(value, value, level)
 
 
-@dataclass(frozen=True)
-class DfjpNormResult:
+class DfjpNormResult(NamedTuple):
     """p-aggregation of the gauge sequence with an explicit tail bound.
 
     ``powered_lo``/``powered_hi`` bound sum over all n >= 1 of gauge^p; the

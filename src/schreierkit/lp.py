@@ -29,9 +29,8 @@ small, and no attempt is made at sparse or revised variants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .vectors import Rational
 
@@ -40,8 +39,7 @@ class LPCertificateError(AssertionError):
     """The simplex produced a solution that fails its own exact certificate."""
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(NamedTuple):
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: Optional[list[Fraction]]
     objective: Optional[Fraction]

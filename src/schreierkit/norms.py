@@ -25,9 +25,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
 
 from .families import (
     Family,
@@ -144,8 +143,7 @@ def float_root(power: Fraction, p: int) -> float:
         raise ValueError(f"the {p}-th root of a {t}-bit power does not fit a float") from None
 
 
-@dataclass(frozen=True)
-class NormingSpec:
+class NormingSpec(NamedTuple):
     """A norming set induced by a family: signed indicator functionals.
 
     Describes N = {+-e_k*} union {sum_{k in s} +- e_k* : s in base_family},
@@ -208,8 +206,7 @@ def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fract
     return max(map(len, _eps_supports(xs, spec.base_family, eps)), default=0)
 
 
-@dataclass(frozen=True)
-class SpreadingResult:
+class SpreadingResult(NamedTuple):
     """Minimax value over the probability simplex with its LP certificate."""
 
     value: Fraction

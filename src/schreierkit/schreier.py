@@ -39,25 +39,28 @@ All functions are pure.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .families import Family, FiniteSet, finite_set
 
 MAX_WINDOW = 24
 
 
-@dataclass(frozen=True, order=True)
-class OrdinalCNF:
+class _CNFTerms(NamedTuple):
+    terms: tuple[tuple[int, int], ...] = ()
+
+
+class OrdinalCNF(_CNFTerms):
     """An ordinal below omega^omega: sum of omega^e * c with exponents decreasing.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs; the empty tuple
     denotes 0.  Tuple comparison of the terms realizes the ordinal order.
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "OrdinalCNF":
+        self = super().__new__(cls, *args, **kwargs)
         last = None
         for e, c in self.terms:
             if e < 0 or c < 1:
@@ -65,6 +68,7 @@ class OrdinalCNF:
             if last is not None and e >= last:
                 raise ValueError("CNF exponents must be strictly decreasing")
             last = e
+        return self
 
     @classmethod
     def from_int(cls, n: int) -> "OrdinalCNF":
@@ -276,8 +280,7 @@ def barrier_member(s: Iterable[int]) -> bool:
     return len(t) == t[0]
 
 
-@dataclass(frozen=True)
-class InclusionReport:
+class InclusionReport(NamedTuple):
     """Result of the windowed inclusion search (S_alpha x S) | [n, oo) <= S_beta."""
 
     ok: bool

@@ -26,9 +26,8 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .families import Family, FiniteSet, best_set_sum, finite_set
 from .schreier import barrier_member
@@ -66,8 +65,7 @@ def radius(m: int, lam: Fraction) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class TParams:
+class TParams(NamedTuple):
     """Window-bounded family parameters: density, window cap, radix table."""
 
     lam: Fraction
@@ -205,8 +203,7 @@ def erdos_hajnal_count(n: int, r: int) -> int:
     return r**n - r ** (n - 1)
 
 
-@dataclass(frozen=True)
-class SymbolicSet:
+class SymbolicSet(NamedTuple):
     """A member set F(u) in constraint form.
 
     ``constraints`` maps a piece index n in u to a tuple of digit-key pairs
@@ -266,8 +263,11 @@ def measure_ratio(u: Iterable[int], n: int, params: TParams) -> Fraction:
     uu = finite_set(u)
     if n not in uu:
         raise ValueError(f"{n} is not an element of u = {uu}")
-    n1 = uu[0]
-    k = uu.index(n) + 1
+    return _position_ratio(uu[0], uu.index(n) + 1, params)
+
+
+def _position_ratio(n1: int, k: int, params: TParams) -> Fraction:
+    """The measure ratio of the piece at position k of a set with minimum n1."""
     if n1 <= 3 or k <= 3:
         return Fraction(1)
     r = params.radix(n1)
@@ -334,8 +334,7 @@ def barrier_window_members(window_max: int) -> list[FiniteSet]:
     return out
 
 
-@dataclass(frozen=True)
-class PigeonholeReport:
+class PigeonholeReport(NamedTuple):
     """Emptiness decision for an intersection of member sets over one piece."""
 
     empty: bool
@@ -437,8 +436,7 @@ def pigeonhole_intersection_empty(
     return PigeonholeReport(False, not failures, tuple(failures), positions, None, None)
 
 
-@dataclass(frozen=True)
-class TransversalReport:
+class TransversalReport(NamedTuple):
     """Largest sub-transversal free of covered (bound+1)-subsets."""
 
     selected: tuple[int, ...]  # indices into the input transversal
@@ -525,7 +523,8 @@ def averages_norm(a: SparseVector, params: TParams) -> Fraction:
     Coordinates are constant on each piece, so the best sum over a member
     set F(u) is attained at the full set and equals
     sum over n in u of |a_n| * measure_ratio(u, n); the sup-norm floor is
-    max |a_n| / #I_n.
+    max |a_n| / #I_n.  The ratio depends only on min u and the position of
+    n in u, so it is read from one table per minimum.
     """
     if a and a.support[-1] > params.window_max:
         raise ValueError(
@@ -536,9 +535,15 @@ def averages_norm(a: SparseVector, params: TParams) -> Fraction:
     # the floor max |a_n| / #I_n needs only n <= 3, where #I_n = 1: each n >= 4
     # sits at position 2 of the window barrier set {2, n}, with weight 1
     best = max((abs(v) for n, v in a.items() if n <= 3), default=Fraction(0))
+    abs_a = {n: abs(v) for n, v in a.items()}
+    # a window barrier set with minimum n1 has n1 elements
+    ratios = {
+        n1: [_position_ratio(n1, k, params) for k in range(1, n1 + 1)]
+        for n1 in range(1, params.window_max + 1)
+    }
     for u in barrier_window_members(params.window_max):
         total = sum(
-            (abs(a[n]) * measure_ratio(u, n, params) for n in u if a[n]), Fraction(0)
+            (abs_a[n] * w for n, w in zip(u, ratios[u[0]]) if n in abs_a), Fraction(0)
         )
         if total > best:
             best = total

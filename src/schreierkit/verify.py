@@ -15,9 +15,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import families as fam
 from . import norms
@@ -40,8 +39,8 @@ CSV_VERSION = "schreierkit-verify-v1"
 Verdict = tuple[object, str, str]
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
+    # the first six fields are the CSV columns
     suite: str
     property_id: str
     instance: str
@@ -51,8 +50,7 @@ class CaseResult:
     elapsed_ms: float
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     seed: int
     cases: list[CaseResult]
 
@@ -72,8 +70,7 @@ class RunReport:
         out.write(f"# {CSV_VERSION}; seed={self.seed}; columns={CSV_SCHEMA}\n")
         out.write(CSV_SCHEMA + "\n")
         for c in self.sorted_cases():
-            fields = [c.suite, c.property_id, c.instance, c.verdict, c.witness, c.exact_value]
-            out.write(",".join(_csv_quote(f) for f in fields) + "\n")
+            out.write(",".join(map(_csv_quote, c[:-1])) + "\n")
         return out.getvalue()
 
     def to_obj(self) -> dict:
@@ -81,14 +78,7 @@ class RunReport:
             "version": CSV_VERSION,
             "seed": self.seed,
             "cases": [
-                {
-                    "suite": c.suite,
-                    "property_id": c.property_id,
-                    "instance": c.instance,
-                    "verdict": c.verdict,
-                    "witness": c.witness,
-                    "exact_value": c.exact_value,
-                }
+                {k: v for k, v in c._asdict().items() if k != "elapsed_ms"}
                 for c in self.sorted_cases()
             ],
         }

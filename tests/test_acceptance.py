@@ -334,8 +334,10 @@ def test_verify_determinism(tmp_path):
         "2d45fb6236d00e4e4bb26d1ec39d60df3b31fa4628dd50396a6934aca53cc805"
     )
     # the transversal queries past the default window 7
-    tf_args = ["tfamily", "verify", "--seed", "12345", "--window-max", "12", "--output", str(b)]
-    assert cli_main(tf_args) == 0
-    assert hashlib.sha256(b.read_bytes()).hexdigest() == (
-        "0baaf4dd64167e019b453dca3f34dfc01a4bb738ba03eace0e6feb5fc81e4dbc"
-    )
+    for window_max, digest in (
+        ("12", "0baaf4dd64167e019b453dca3f34dfc01a4bb738ba03eace0e6feb5fc81e4dbc"),
+        ("16", "5bd04d4316ca2fd333c9d41e785bc9bd82a0c95ec19d69b5d2b5b76e64a8c8f6"),
+    ):
+        tf_args = ["tfamily", "verify", "--seed", "12345", "--window-max", window_max]
+        assert cli_main(tf_args + ["--output", str(b)]) == 0
+        assert hashlib.sha256(b.read_bytes()).hexdigest() == digest

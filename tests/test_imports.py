@@ -1,5 +1,5 @@
 """The package imports a submodule only when one of its names is used, and a
-CLI call loads only the modules its subcommand runs."""
+CLI call loads only the modules its subcommand runs, with no `dataclasses`."""
 
 import importlib
 import json
@@ -15,7 +15,8 @@ from schreierkit import cli, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# run the CLI as `python -m schreierkit.cli` would, then report what it loaded
+# run the CLI as `python -m schreierkit.cli` would, then report the package
+# and standard-library modules it loaded
 _PROBE = """
 import json, runpy, sys
 sys.argv = ["schreierkit"] + sys.argv[1:]
@@ -24,7 +25,9 @@ try:
     runpy.run_module("schreierkit.cli", run_name="__main__")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("schreierkit"))]))
+top = lambda m: m.partition(".")[0]
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if top(m) == "schreierkit" or top(m) in sys.stdlib_module_names)]))
 """
 
 
@@ -37,10 +40,12 @@ def loaded_modules(tmp_path, *args):
     return set(modules)
 
 
-@pytest.mark.parametrize("kind", ["schreier", "family"])
+@pytest.mark.parametrize("kind", ["schreier", "family", "tfamily"])
 def test_small_calls_load_no_suite_lp_gauge_or_norm(tmp_path, kind):
     if kind == "schreier":
         args = ["schreier", "--alpha", "1", "--window", "1..3"]
+    elif kind == "tfamily":
+        args = ["tfamily", "sample", "--n", "5"]
     else:
         path = tmp_path / "f.json"
         path.write_text(json.dumps({"sets": [[1, 2]], "hereditary": None}))
@@ -49,6 +54,8 @@ def test_small_calls_load_no_suite_lp_gauge_or_norm(tmp_path, kind):
     assert "schreierkit.families" in loaded
     heavy = {f"schreierkit.{m}" for m in ("verify", "lp", "interpolation", "norms")}
     assert not loaded & heavy
+    assert {"json", "argparse", "fractions"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 def test_exported_names_are_the_submodules_own_objects():

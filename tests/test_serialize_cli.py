@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from schreierkit import Family, PartitionMeasure, SparseVector
+from schreierkit import cli
 from schreierkit.cli import main
 from schreierkit.serialize import (
     family_from_obj,
@@ -301,6 +302,16 @@ def test_cli_schreier_error_paths(capsys):
     # an empty window is malformed input, not a failed inclusion
     assert main(["schreier", "--alpha", "1", "--check-inclusion", "2", "--window", "1..0"]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+def test_cli_internal_key_error_is_not_bad_input(monkeypatch):
+    # a KeyError inside a command is a bug: it surfaces as a traceback (exit 1), not exit 2
+    def broken(args):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_schreier", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["schreier", "--alpha", "1", "--member", "3,4,5"])
 
 
 def test_cli_gauge(tmp_path, capsys):
