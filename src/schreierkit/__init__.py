@@ -45,7 +45,7 @@ _EXPORTS = {
             "erdos_hajnal_count", "erdos_hajnal_member", "f_of_u", "index_cardinality",
             "pigeonhole_intersection_empty", "measure_ratio", "point_membership",
             "point_to_integer", "radius", "sample_in", "sample_point",
-            "transversal_norm", "transversal_trace_report",
+            "transversal_norm", "transversal_norms", "transversal_trace_report",
         ),
         "vectors": ("SparseVector",),
     }.items()

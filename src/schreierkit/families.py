@@ -9,6 +9,16 @@ a family collect its members and lay the arrays out once.  All operations
 are pure; families are immutable after construction and safe to share
 between threads.
 
+A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
+closure) is closed under subsets, so every trie node is a member and the
+members inside a support M are the nodes whose path stays in M.  The trace
+and restriction on M, the norming sets and the two member-sum walks then
+enter only the children whose label lies in M (for ``best_set_sum``, only
+those that carry a weight); any other family takes the full walk.  The flag
+is a checked claim: ``Family(sets, hereditary=True)`` refuses sets that are
+not closed under subsets, and only the constructors that build a closed
+family by construction set it unchecked.
+
 Conventions
 -----------
 * The empty set is a member of every hereditary closure of a nonempty
@@ -107,11 +117,14 @@ class Family:
     Iteration order is deterministic: lexicographic on the increasing-tuple
     encoding, so a set precedes its proper extensions and siblings ascend.
 
-    ``hereditary_flag`` is tri-state metadata (True / False / None for
-    unknown); it is not validated at construction, see :func:`is_hereditary`.
+    ``hereditary_flag`` is tri-state and read-only (True / False / None for
+    unknown).  True is checked at construction with :func:`is_hereditary`,
+    and a ``ValueError`` names a member whose one-element removal is
+    missing, because the support-only walks trust it; False and None are
+    taken as given and select the full walks.
     """
 
-    __slots__ = ("_label", "_depth", "_end", "_term", "_height", "_size", "hereditary_flag")
+    __slots__ = ("_label", "_depth", "_end", "_term", "_height", "_size", "_hereditary")
 
     def __init__(
         self,
@@ -119,7 +132,12 @@ class Family:
         hereditary: Optional[bool] = None,
     ) -> None:
         self._adopt(*_preorder(finite_set(s) for s in sets))
-        self.hereditary_flag = hereditary
+        if hereditary is True:
+            gap = _missing_removal(self)
+            if gap is not None:
+                s, t = (_show(u) for u in gap)
+                raise ValueError(f"family is not hereditary: {s} is a member but {t} is not")
+        self._hereditary = hereditary
 
     def _adopt(self, label: list[int], depth: list[int], end: list[int], term: bytearray) -> None:
         self._label = label
@@ -147,8 +165,12 @@ class Family:
     ) -> "Family":
         out = cls.__new__(cls)
         out._adopt(label, depth, end, term)
-        out.hereditary_flag = hereditary
+        out._hereditary = hereditary
         return out
+
+    @property
+    def hereditary_flag(self) -> Optional[bool]:
+        return self._hereditary
 
     @property
     def contains_empty(self) -> bool:
@@ -176,9 +198,12 @@ class Family:
         return list(self)
 
     def __contains__(self, s: Iterable[int]) -> bool:
+        return self._has(finite_set(s))
+
+    def _has(self, s: FiniteSet) -> bool:
         label, end = self._label, self._end
         node = 0
-        for e in finite_set(s):
+        for e in s:
             child, stop = node + 1, end[node]
             while child < stop and label[child] < e:
                 child = end[child]
@@ -199,9 +224,13 @@ class Family:
         )
 
     def __repr__(self) -> str:
-        shown = ", ".join("{" + ",".join(map(str, s)) + "}" for s in itertools.islice(self, 6))
+        shown = ", ".join(map(_show, itertools.islice(self, 6)))
         more = ", ..." if len(self) > 6 else ""
         return f"Family([{shown}{more}], n={len(self)}, hereditary={self.hereditary_flag})"
+
+
+def _show(s: FiniteSet) -> str:
+    return "{" + ",".join(map(str, s)) + "}"
 
 
 def bounded_cardinality_family(window: Iterable[int], n: int) -> Family:
@@ -219,7 +248,18 @@ def is_hereditary(family: Family) -> bool:
     That is exact by induction on the size of the removed part, so no
     member's subsets are enumerated and no member size is refused.
     """
-    return all(s[:i] + s[i + 1:] in family for s in family for i in range(len(s)))
+    return _missing_removal(family) is None
+
+
+def _missing_removal(family: Family) -> Optional[tuple[FiniteSet, FiniteSet]]:
+    """The first member s, with the first one-element removal t of s that is
+    not a member, as (s, t); None when there is none."""
+    for s in family:
+        for i in range(len(s)):
+            t = s[:i] + s[i + 1:]
+            if not family._has(t):
+                return s, t
+    return None
 
 
 def hereditary_closure(family: Family) -> Family:
@@ -238,8 +278,15 @@ def hereditary_closure(family: Family) -> Family:
 
 
 def trace(family: Family, m: Iterable[int]) -> Family:
-    """The trace {s & M : s in family}, deduplicated."""
-    return Family._of(_trace_images(family, set(finite_set(m))))
+    """The trace {s & M : s in family}, deduplicated.
+
+    On a hereditary family that is the restriction to M, read by the
+    support-only walk; the result carries no flag either way.
+    """
+    mm = finite_set(m)
+    if family.hereditary_flag is True:
+        return Family._from_arrays(*_support_arrays(family, mm))
+    return Family._of(_trace_images(family, set(mm)))
 
 
 def _trace_images(family: Family, mset: set[int]) -> set[FiniteSet]:
@@ -264,14 +311,68 @@ def _trace_images(family: Family, mset: set[int]) -> set[FiniteSet]:
     return images
 
 
+def _support_arrays(
+    family: Family, support: FiniteSet
+) -> tuple[list[int], list[int], list[int], bytearray]:
+    """The preorder arrays of the members of a hereditary ``family`` inside ``support``.
+
+    Every node of a hereditary trie is a member, since its prefix is a
+    subset of one, so these members are the nodes whose path stays in the
+    support.  One preorder scan enters a node whose label lies in the
+    support, jumps past the subtree of any other, and past the parent's
+    remaining children once a label exceeds the support's maximum (siblings
+    ascend).  The nodes entered keep their preorder, so they are appended
+    to the output arrays as they come, and a node's ``end`` is set when a
+    later node at its depth or above is entered.
+    """
+    mset = set(support)
+    top = support[-1] if support else 0
+    label, depth, end = family._label, family._depth, family._end
+    out_label, out_depth, out_end = [0], [0], [0]
+    # parent[d]: the node entered last at depth d; path[d]: its output index
+    parent = [0] * (family._height + 1)
+    path = [0]
+    i, size = 1, len(label)
+    while i < size:
+        e = label[i]
+        d = depth[i]
+        if e in mset:
+            k = len(out_label)
+            for x in path[d:]:
+                out_end[x] = k
+            del path[d:]
+            path.append(k)
+            out_label.append(e)
+            out_depth.append(d)
+            out_end.append(0)
+            parent[d] = i
+            i += 1
+        elif e > top:
+            i = end[parent[d - 1]]
+        else:
+            i = end[i]
+    k = len(out_label)
+    for x in path:
+        out_end[x] = k
+    return out_label, out_depth, out_end, family._term[:1] + b"\x01" * (k - 1)
+
+
 def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
     """The sets whose sums of |x_k| norm x on ``support``: each singleton
-    (the sup-norm), then each member of the trace with at least two elements.
+    (the sup-norm), then each member of the trace with at least two elements,
+    in lexicographic order.
 
     ||x||_F is the largest of these sums for x supported in ``support``; a
-    trace member of size <= 1 adds nothing the singletons do not."""
-    images = _trace_images(family, set(support))
-    return [(k,) for k in support] + sorted(s for s in images if len(s) >= 2)
+    trace member of size <= 1 adds nothing the singletons do not.  On a
+    hereditary family the trace is the set of members inside the support:
+    for any member s, s & M is a member with the same sum.  So they are read
+    from the support-only walk, whose preorder is lexicographic."""
+    if family.hereditary_flag is True:
+        inside = Family._from_arrays(*_support_arrays(family, support))
+        wide = [s for s in inside if len(s) >= 2]
+    else:
+        wide = sorted(s for s in _trace_images(family, set(support)) if len(s) >= 2)
+    return [(k,) for k in support] + wide
 
 
 def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
@@ -296,8 +397,15 @@ def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
 
 
 def restrict(family: Family, m: Iterable[int]) -> Family:
-    """The restriction {s in family : s subset of M}."""
-    mset = set(finite_set(m))
+    """The restriction {s in family : s subset of M}.
+
+    A hereditary family is read by the support-only walk, and so is its
+    restriction, which is hereditary too.
+    """
+    mm = finite_set(m)
+    if family.hereditary_flag is True:
+        return Family._from_arrays(*_support_arrays(family, mm), hereditary=True)
+    mset = set(mm)
     return Family._of(
         (s for s in family if mset.issuperset(s)),
         hereditary=family.hereditary_flag,
@@ -427,6 +535,10 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
     ascend and that total does not grow with e, so a cut branch also cuts
     its later siblings: the scan jumps to the end of the parent's subtree.
 
+    On a hereditary family the walk also jumps past the subtree of a node
+    without weight: for any member s, its part that carries weight is a
+    member with the same sum, reached along a path of weighted nodes.
+
     The weights are scaled once by the lcm of their denominators, so the walk
     adds and compares Python ints; the result is that integer over the lcm,
     still exact, with no float anywhere.
@@ -443,6 +555,7 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
 
     label, depth, end, term = family._label, family._depth, family._end, family._term
     bisect_left, weight = bisect.bisect_left, scaled.get
+    hereditary = family.hereditary_flag is True
     # acc[d], parent[d]: running sum and index of the entered node at depth d
     acc = [0] * (family._height + 1)
     parent = [0] * (family._height + 1)
@@ -455,7 +568,11 @@ def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
         if a + suffix[bisect_left(support, e)] <= best:
             i = end[parent[d - 1]]
             continue
-        a += weight(e, 0)
+        w = weight(e, 0)
+        if not w and hereditary:
+            i = end[i]
+            continue
+        a += w
         if a > best and term[i]:
             best = a
         acc[d] = a
@@ -486,6 +603,10 @@ def best_run_sums(
     when it is popped.  Children are pushed in ascending order, so the
     largest is entered first; once one lies past the support, so do the
     rest, and the scan of the siblings stops.
+
+    On a hereditary family a child off the support is not entered at all:
+    for any member s, s & support is a member that puts the same weight on
+    every run, reached along a path that never leaves the support.
     """
     m = len(support)
     # ahead[q] = total weight at positions q..m-1
@@ -495,6 +616,7 @@ def best_run_sums(
     best = [0] * (m + 1)
     label, end = family._label, family._end
     bisect_left = bisect.bisect_left
+    hereditary = family.hereditary_flag is True
     stack = [(0, 0, start)]
     while stack:
         node, acc, q = stack.pop()
@@ -515,7 +637,7 @@ def best_run_sums(
                     j += 1
                 if nxt > child + 1 and acc_e + ahead[r + 1] > best[m]:
                     stack.append((child, acc_e, r + 1))
-            elif nxt > child + 1:
+            elif nxt > child + 1 and not hereditary:
                 stack.append((child, acc, r))
             child = nxt
     return best[start + 1 :]

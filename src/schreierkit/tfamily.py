@@ -498,23 +498,39 @@ def transversal_trace_report(
     raise AssertionError("unreachable: the empty subset is always admissible")
 
 
-def transversal_norm(
-    pts: Sequence[IndexPoint], coeffs: Sequence[Fraction], params: TParams
-) -> Fraction:
-    """Exact family norm of sum a_i e_{pt_i} computed symbolically.
+def transversal_norms(
+    pts: Sequence[IndexPoint], rows: Sequence[Sequence[Fraction]], params: TParams
+) -> list[Fraction]:
+    """Exact family norms of sum a_i e_{pt_i}, one per coefficient row a.
 
     The member sums are, for each window barrier set u, the sum of |a_i|
     over the points lying in F(u), and the sup part is max |a_i|.  They are
-    the weights of the points' trace family, so ``best_set_sum`` on the
-    traces of the points with a_i != 0 gives their maximum.
+    the weights of the points' trace family, which one scan of the window
+    builds for every row, so ``best_set_sum`` on it gives their maximum; a
+    point with a_i = 0 carries no weight.
     """
+    if any(len(coeffs) != len(pts) for coeffs in rows):
+        raise ValueError("one coefficient per point required")
+    traces = Family(_point_traces(pts, params))
+    out = []
+    for coeffs in rows:
+        coeffs = [abs(Fraction(c)) for c in coeffs]
+        weights = {i: a for i, a in enumerate(coeffs, 1) if a}
+        out.append(max(max(coeffs, default=Fraction(0)), best_set_sum(traces, weights)))
+    return out
+
+
+def transversal_norm(
+    pts: Sequence[IndexPoint], coeffs: Sequence[Fraction], params: TParams
+) -> Fraction:
+    """Exact family norm of sum a_i e_{pt_i} computed symbolically: the
+    :func:`transversal_norms` of one row, scanning only the points with
+    a_i != 0."""
     if len(pts) != len(coeffs):
         raise ValueError("one coefficient per point required")
     coeffs = [abs(Fraction(c)) for c in coeffs]
-    live = [(pt, a) for pt, a in zip(pts, coeffs) if a]
-    traces = Family(_point_traces([pt for pt, _ in live], params))
-    weights = {i: a for i, (_, a) in enumerate(live, 1)}
-    return max(max(coeffs, default=Fraction(0)), best_set_sum(traces, weights))
+    live = [i for i, a in enumerate(coeffs) if a]
+    return transversal_norms([pts[i] for i in live], [[coeffs[i] for i in live]], params)[0]
 
 
 def averages_norm(a: SparseVector, params: TParams) -> Fraction:

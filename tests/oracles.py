@@ -32,6 +32,11 @@ def all_subsets(window):
         yield from itertools.combinations(w, k)
 
 
+def trace_brute(members, m):
+    """The trace {s & M : s in members}, member by member, in lexicographic order."""
+    return sorted({tuple(e for e in s if e in m) for s in members})
+
+
 def schreier_member_direct(s) -> bool:
     """#s <= min s, empty set admitted."""
     return not s or len(s) <= s[0]

@@ -76,6 +76,8 @@ bad_family = st.one_of(
         "sets": st.lists(small_set, max_size=3),
         "hereditary": values.filter(lambda v: v is not None and not isinstance(v, bool)),
     }),
+    # a heredity claim is checked: {2} is missing
+    st.just({"sets": [[1, 2]], "hereditary": True}),
 )
 
 pair = st.tuples(st.integers(1, 6), st.sampled_from(["1", "-1/2", "3/4"])).map(list)

@@ -26,9 +26,9 @@ from schreierkit import (
     schreier_family,
     trace,
 )
-from schreierkit.families import best_run_sums, maximal_mask
+from schreierkit.families import best_run_sums, maximal_mask, norming_sets
 
-from oracles import all_subsets, block_decomposable
+from oracles import all_subsets, block_decomposable, family_norm_brute, trace_brute
 
 sets_strategy = st.lists(
     st.frozensets(st.integers(1, 9), min_size=0, max_size=4), min_size=0, max_size=6
@@ -54,7 +54,7 @@ def test_family_iteration_is_lexicographic_and_deduped():
 
 def test_family_equality_is_extensional():
     assert Family([[1], [2]]) == Family([[2], [1]])
-    assert Family([[1]], hereditary=True) == Family([[1]], hereditary=None)
+    assert Family([[], [1]], hereditary=True) == Family([[], [1]], hereditary=None)
     assert Family([[1]]) != Family([[1], [2]])
     # same labels, depths and size; only the member flags differ
     assert Family([[], [1, 2]]) != Family([[1], [1, 2]])
@@ -73,6 +73,18 @@ def test_is_hereditary_examples():
     assert is_hereditary(Family([[], [1], [2], [1, 2]]))
     # a member too large to enumerate its subsets is still decided
     assert not is_hereditary(Family([range(1, 26)]))
+
+
+def test_hereditary_flag_is_a_checked_claim():
+    with pytest.raises(ValueError, match=r"\{1,2\} is a member but \{2\} is not"):
+        Family([[1, 2]], hereditary=True)
+    with pytest.raises(ValueError, match=r"\{2,3\} is a member but \{3\} is not"):
+        Family([[], [1], [2], [2, 3]], hereditary=True)
+    assert Family([], hereditary=True).hereditary_flag is True
+    # a false or unknown claim selects the full walks and is taken as given
+    assert Family([[1, 2]], hereditary=False).hereditary_flag is False
+    with pytest.raises(AttributeError):
+        Family([[1]]).hereditary_flag = True
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,6 +139,30 @@ def test_trace_composition_and_hereditary_identity(sets, m1, m2):
     assert trace(trace(f, m1), m2) == trace(f, m1 & m2)
     h = hereditary_closure(f)
     assert trace(h, m1) == restrict(h, m1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets_strategy, st.frozensets(st.integers(1, 10), max_size=6),
+       st.dictionaries(st.integers(1, 10), st.fractions(0, 3, max_denominator=6), max_size=6))
+@example([frozenset({1, 2, 3}), frozenset({5, 7})], frozenset({2, 3, 7}), {1: Fraction(5), 3: Fraction(1)})
+def test_hereditary_walks_match_brute_force_and_the_full_walk(sets, m, weights):
+    closed = hereditary_closure(Family(sets))
+    # the same arrays without the flag take the full walks
+    plain = Family._from_arrays(closed._label, closed._depth, closed._end, closed._term)
+    members = closed.members()
+    m = tuple(sorted(m))
+    images = trace_brute(members, m)
+    wide = [s for s in images if len(s) >= 2]
+    best = family_norm_brute(members, weights)
+    for f in (closed, plain):
+        for got in (trace(f, m), restrict(f, m)):
+            assert got.members() == images
+            assert got._end == Family(images)._end
+        assert norming_sets(f, m) == [(k,) for k in m] + wide
+        assert max(max(weights.values(), default=0), best_set_sum(f, weights)) == best
+    assert trace(closed, m).hereditary_flag is None
+    assert restrict(closed, m).hereditary_flag is True
+    assert best_set_sum(closed, weights) == best_set_sum(plain, weights)
 
 
 def test_oplus_order_and_empty_convention():

@@ -162,21 +162,22 @@ block_coords = st.dictionaries(
 @example([[], [1, 3, 10], [3, 10], [1, 3], [5, 6, 7]], {3: 1, 5: Fraction(1, 2), 7: 2}, {1})
 @example([[1, 10], []], {4: Fraction(-2, 3), 6: 1}, set())
 def test_block_rows_match_segment_norms(members, coords, zeroed):
-    fam = Family(members)
     x = SparseVector(coords)
     support = x.support
     scale = math.lcm(*(v.denominator for v in coords.values() if v))
     weights = [abs(v.numerator) * (scale // v.denominator) for _, v in x.items()]
-    for ws in (weights, [0 if q in zeroed else w for q, w in enumerate(weights)]):
-        for i in range(len(support)):
-            row = best_run_sums(fam, support, ws, i)
-            assert len(row) == len(support) - i
-            for j, total in enumerate(row, start=i + 1):
-                segment = {support[q]: Fraction(ws[q], scale) for q in range(i, j)}
-                got = Fraction(max(max(ws[i:j]), total), scale)
-                assert got == family_norm_brute(fam.members(), segment), (i, j)
-    for p in (1, 2, 3):
-        assert block_p_norm_power(x, fam, p) == block_power_brute(coords, fam.members(), p)
+    # the closure takes the hereditary row walk, which never leaves the support
+    for fam in (Family(members), hereditary_closure(Family(members))):
+        for ws in (weights, [0 if q in zeroed else w for q, w in enumerate(weights)]):
+            for i in range(len(support)):
+                row = best_run_sums(fam, support, ws, i)
+                assert len(row) == len(support) - i
+                for j, total in enumerate(row, start=i + 1):
+                    segment = {support[q]: Fraction(ws[q], scale) for q in range(i, j)}
+                    got = Fraction(max(max(ws[i:j]), total), scale)
+                    assert got == family_norm_brute(fam.members(), segment), (i, j)
+        for p in (1, 2, 3):
+            assert block_p_norm_power(x, fam, p) == block_power_brute(coords, fam.members(), p)
 
 
 def test_block_lower_bound_scaled_claim():

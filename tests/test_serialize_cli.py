@@ -131,6 +131,15 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
         assert main(["tfamily", "build", "--config", write(tmp_path, "c.json", config)]) == 2
 
 
+def test_cli_norm_refuses_a_false_heredity_claim(tmp_path, capsys):
+    vec = write(tmp_path, "x.json", {"coords": [[2, "1"]]})
+    claim = write(tmp_path, "f.json", {"sets": [[1, 2]], "hereditary": True})
+    assert main(["norm", "--family", claim, "--vector", vec]) == 2
+    assert "{1,2} is a member but {2} is not" in capsys.readouterr().err
+    honest = write(tmp_path, "g.json", {"sets": [[], [1], [2], [1, 2]], "hereditary": True})
+    assert main(["norm", "--family", honest, "--vector", vec]) == 0
+
+
 def test_cli_norm_roots_powers_past_float_range(tmp_path, capsys):
     # two unit-norm blocks of weight 10: the exact 400-th power 2 * 10^400 is
     # past float range, its root 10 * 2^(1/400) is not

@@ -22,6 +22,7 @@ from schreierkit import (
     sample_in,
     sample_point,
     transversal_norm,
+    transversal_norms,
     transversal_trace_report,
 )
 
@@ -335,5 +336,10 @@ def test_transversal_queries_match_barrier_scans():
         chosen = [pts[i] for i in rep.selected]
         for sub in (pts, chosen):
             coeffs = [rng.choice((0, 0, 1, 3, Fraction(1, 2), Fraction(-7, 3))) for _ in sub]
-            assert transversal_norm(sub, coeffs, params) == transversal_norm_scan(sub, coeffs, params)
+            want = transversal_norm_scan(sub, coeffs, params)
+            assert transversal_norm(sub, coeffs, params) == want
+            # one trace family serves every row, zero coefficients included
+            rows = [coeffs, coeffs[::-1], [0] * len(sub)]
+            assert transversal_norms(sub, rows, params) == [
+                want, transversal_norm_scan(sub, rows[1], params), 0]
     assert checked > 50  # the covered lists are not all empty
