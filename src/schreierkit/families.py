@@ -9,15 +9,19 @@ a family collect its members and lay the arrays out once.  All operations
 are pure; families are immutable after construction and safe to share
 between threads.
 
+Member sums come from one preorder branch-and-bound walk,
+:func:`best_run_sums`, which gives the best member sum on every run of a
+weighted support at once; :func:`best_set_sum` is its last run.
+
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
 members inside a support M are the nodes whose path stays in M.  The trace
-and restriction on M, the norming sets and the two member-sum walks then
-enter only the children whose label lies in M (for ``best_set_sum``, only
-those that carry a weight); any other family takes the full walk.  The flag
-is a checked claim: ``Family(sets, hereditary=True)`` refuses sets that are
-not closed under subsets, and only the constructors that build a closed
-family by construction set it unchecked.
+and restriction on M and the norming sets then enter only the children whose
+label lies in M, and the member-sum walk only those that carry a weight;
+any other family takes the full walk.  The flag is a checked claim:
+``Family(sets, hereditary=True)`` refuses sets that are not closed under
+subsets, and only the constructors that build a closed family by
+construction set it unchecked.
 
 Conventions
 -----------
@@ -33,9 +37,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+
+from .vectors import Rational, int_scaled
 
 FiniteSet = tuple[int, ...]
 
@@ -526,59 +531,18 @@ def find_uniform_trace(
     return UniformTraceResult("absent", None, visited)
 
 
-def best_set_sum(family: Family, weights: Mapping[int, Fraction]) -> Fraction:
+def best_set_sum(family: Family, weights: Mapping[int, Rational]) -> Fraction:
     """max over members s of sum(weights[e] for e in s), weights >= 0.
 
-    Exact branch-and-bound on the trie: a branch entered at element e is cut
-    when the running sum plus the total weight sitting at indices >= e cannot
-    beat the incumbent.  Elements without a weight count as zero.  Siblings
-    ascend and that total does not grow with e, so a cut branch also cuts
-    its later siblings: the scan jumps to the end of the parent's subtree.
-
-    On a hereditary family the walk also jumps past the subtree of a node
-    without weight: for any member s, its part that carries weight is a
-    member with the same sum, reached along a path of weighted nodes.
-
-    The weights are scaled once by the lcm of their denominators, so the walk
-    adds and compares Python ints; the result is that integer over the lcm,
-    still exact, with no float anywhere.
+    The last run of :func:`best_run_sums`: the weights are scaled once by
+    the lcm of their denominators, so the walk adds and compares Python ints,
+    and the result is the best sum on the whole support over that lcm, still
+    exact, with no float anywhere.  Elements without a weight count as zero.
     """
-    if not family:
-        return Fraction(0)
-    scale = math.lcm(*(v.denominator for v in weights.values()))
-    scaled = {e: v.numerator * (scale // v.denominator) for e, v in weights.items()}
-    support = sorted(scaled)
-    # suffix[i] = total scaled weight at support positions i..end
-    suffix = [0] * (len(support) + 1)
-    for i in range(len(support) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + scaled[support[i]]
-
-    label, depth, end, term = family._label, family._depth, family._end, family._term
-    bisect_left, weight = bisect.bisect_left, scaled.get
-    hereditary = family.hereditary_flag is True
-    # acc[d], parent[d]: running sum and index of the entered node at depth d
-    acc = [0] * (family._height + 1)
-    parent = [0] * (family._height + 1)
-    best = 0
-    i, size = 1, len(label)
-    while i < size:
-        d = depth[i]
-        e = label[i]
-        a = acc[d - 1]
-        if a + suffix[bisect_left(support, e)] <= best:
-            i = end[parent[d - 1]]
-            continue
-        w = weight(e, 0)
-        if not w and hereditary:
-            i = end[i]
-            continue
-        a += w
-        if a > best and term[i]:
-            best = a
-        acc[d] = a
-        parent[d] = i
-        i += 1
-    return Fraction(best, scale)
+    support = sorted(weights)
+    ints, scale = int_scaled([weights[e] for e in support])
+    runs = best_run_sums(family, support, ints, 0)
+    return Fraction(runs[-1] if runs else 0, scale)
 
 
 def best_run_sums(
@@ -587,60 +551,72 @@ def best_run_sums(
     """Best member sums on every run support[start:j], j = start+1..len(support).
 
     ``weights[q] >= 0`` is the int weight at ``support[q]`` (increasing);
-    entry j - start - 1 of the result is the max over members s of the
-    weight s puts on support[start:j].  One iterative trie walk serves every
-    run end, for one row of the block DP.  Every trie node lies on a member's
-    path and weights are nonnegative, so a node's running sum is reached on
-    every run that holds its last counted position: it is recorded at that
-    run end and every later one (``best`` is nondecreasing in j).
+    entry j - start - 1 of the result is best[j], the max over members s of
+    the weight s puts on support[start:j].  One preorder scan of the trie
+    serves every run end, for one row of the block DP.  It keeps, per depth,
+    the running sum over support[start:] of the node entered there, records
+    each entered node's sum at its last counted position r in ``at[r]``, and
+    returns the prefix max of ``at``: best[j] is the max of at[start..j-1].
 
-    A subtree whose elements sit at positions >= q may be cut when, at every
-    run end j > q, its running sum plus the weight at positions q..j-1
-    cannot beat ``best[j]``.  Testing the last run end alone decides this:
-    the walk has recorded every prefix of the path behind ``best[m]``, so
-    best[m] - best[j] is at most the weight at positions j..m-1.  The test
-    is made when a subtree is pushed and again, with a later ``best[m]``,
-    when it is popped.  Children are pushed in ascending order, so the
-    largest is entered first; once one lies past the support, so do the
-    rest, and the scan of the siblings stops.
+    Recording every entered node is exact.  Every trie node lies on a
+    member's path and weights are nonnegative, so a sum recorded at r is
+    reached on every run that holds position r: a node that is not a member
+    never overshoots.  Conversely the best member on a run has a prefix with
+    the same sum that ends at the run's last position it counts, and the
+    scan enters and records that prefix unless a cut passes it.
 
-    On a hereditary family a child off the support is not entered at all:
-    for any member s, s & support is a member that puts the same weight on
-    every run, reached along a path that never leaves the support.
+    A node is cut, with its later siblings, when its parent's sum plus the
+    weight at positions q..m-1 is at most ``top``, the largest sum recorded
+    so far; q is the first position with support[q] >= its label, and later
+    siblings have larger labels.  Testing against ``top`` alone is exact:
+    top is the sum of an entered path, and that path's part before any run
+    end j is recorded at a position below j, so best[j] >= top - (weight at
+    positions j..m-1).  That bounds every sum a cut subtree puts on
+    support[start:j] for j > q; for j <= q it adds nothing to its parent's.
+    The parent's sum never exceeds ``top``, so a node past the support's
+    maximum is always cut.
+
+    On a hereditary family a node that carries no weight (off
+    support[start:], or of weight 0) is not entered at all: for any member s,
+    its part that carries weight is a member that puts the same weight on
+    every run, reached along a path that never leaves it.
     """
     m = len(support)
     # ahead[q] = total weight at positions q..m-1
     ahead = [0] * (m + 1)
     for q in range(m - 1, start - 1, -1):
         ahead[q] = ahead[q + 1] + weights[q]
-    best = [0] * (m + 1)
-    label, end = family._label, family._end
+    at = [0] * m
+    top = 0
+    label, depth, end = family._label, family._depth, family._end
     bisect_left = bisect.bisect_left
     hereditary = family.hereditary_flag is True
-    stack = [(0, 0, start)]
-    while stack:
-        node, acc, q = stack.pop()
-        if acc + ahead[q] <= best[m]:
+    # acc[d], parent[d]: running sum and index of the entered node at depth d
+    acc = [0] * (family._height + 1)
+    parent = [0] * (family._height + 1)
+    i, size = 1, len(label)
+    while i < size:
+        d = depth[i]
+        e = label[i]
+        a = acc[d - 1]
+        r = bisect_left(support, e, start)
+        if a + ahead[r] <= top:
+            i = end[parent[d - 1]]
             continue
-        child, stop = node + 1, end[node]
-        while child < stop:
-            e = label[child]
-            r = bisect_left(support, e, q)
-            if r == m:
-                break
-            nxt = end[child]
-            if support[r] == e:
-                acc_e = acc + weights[r]
-                j = r + 1
-                while j <= m and best[j] < acc_e:
-                    best[j] = acc_e
-                    j += 1
-                if nxt > child + 1 and acc_e + ahead[r + 1] > best[m]:
-                    stack.append((child, acc_e, r + 1))
-            elif nxt > child + 1 and not hereditary:
-                stack.append((child, acc, r))
-            child = nxt
-    return best[start + 1 :]
+        w = weights[r] if support[r] == e else 0
+        if w:
+            a += w
+            if a > at[r]:
+                at[r] = a
+                if a > top:
+                    top = a
+        elif hereditary:
+            i = end[i]
+            continue
+        acc[d] = a
+        parent[d] = i
+        i += 1
+    return list(itertools.accumulate(at[start:], max))
 
 
 class PartitionMeasure:

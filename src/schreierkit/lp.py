@@ -32,7 +32,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .vectors import Rational
+from .vectors import Rational, int_scaled
 
 
 class LPCertificateError(AssertionError):
@@ -51,16 +51,6 @@ class LPResult(NamedTuple):
     @property
     def optimal(self) -> bool:
         return self.status == "optimal"
-
-
-def _int_scaled(values: Sequence[Rational]) -> tuple[list[int], int]:
-    """``values`` times the lcm of their denominators, as ints, and that lcm.
-
-    int and ``Fraction`` entries are read as they are; any other entry goes
-    through ``Fraction`` first."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def solve_lp(
@@ -82,7 +72,7 @@ def solve_lp(
     scaled: list[list[int]] = []
     scales: list[int] = []
     for row, b in zip(a_ub + a_eq, b_ub + b_eq):
-        ints, scale = _int_scaled([*row, b])
+        ints, scale = int_scaled([*row, b])
         scaled.append(ints)
         scales.append(scale)
     m = len(scaled)
@@ -209,7 +199,7 @@ def solve_lp(
                 if piv is not None:
                     pivot(i, piv, None, 0)
 
-    costs2, cscale = _int_scaled(c)
+    costs2, cscale = int_scaled(c)
     status, obj2 = run(build_objective(costs2 + [0] * (ncols - n)), artificials, 1)
     if status != "optimal":
         return LPResult("unbounded", None, None, None, None, None, tuple(pivots))
@@ -256,11 +246,11 @@ def solve_lp_reduced(
     res = solve_lp(c, [a_ub[i] for i in kept], [b_ub[i] for i in kept], a_eq, b_eq)
     if not res.optimal:
         return res
-    xs, den = _int_scaled(res.x)
+    xs, den = int_scaled(res.x)
     nz = [(j, v) for j, v in enumerate(xs) if v]
     for row, b, flag in zip(a_ub, b_ub, keep):
         if not flag:
-            ints, _ = _int_scaled([*row, b])
+            ints, _ = int_scaled([*row, b])
             if sum(ints[j] * v for j, v in nz) > ints[-1] * den:
                 raise LPCertificateError("primal violation of a row left out as implied")
     dual_ub = [Fraction(0)] * len(a_ub)

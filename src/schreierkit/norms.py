@@ -7,17 +7,19 @@ The central object is the family norm
 computed exactly in rationals by branch-and-bound on the family trie.  The
 block-aggregated (Baernstein-style) norm, epsilon-support families, uniform
 weak bounds, spreading-model constants (via exact LP) and Cesaro profiles
-are all derived from it.  The block norm's interval DP takes, for each row
-i, the norms of every run support[i:j] from one trie walk
-(:func:`~schreierkit.families.best_run_sums`), not one walk per run.
+are all derived from it.  Both norms take member sums from one trie walk,
+:func:`~schreierkit.families.best_run_sums`, which gives the best sum on
+every run support[i:j] of a row i at once: ``f_norm`` reads the last run of
+row 0, and the block norm's interval DP reads every run of every row, one
+walk per row, not one per run.
 
 Exactness policy: everything is rational; p-th roots are deferred to output
 formatting (:func:`float_root`).  For integer p the p-powered block norm is
 the canonical exact result (see :func:`block_p_norm_power`).  Member scans
-(the trie walks of :func:`~schreierkit.families.best_set_sum` and of the
-block DP's rows, eps-supports and the uniform weak bound) scale their inputs
-once by the lcm of the denominators and then add and compare Python ints;
-this is still exact and uses no floats.
+(the trie walk, eps-supports and the uniform weak bound) and the spreading
+LP's rows scale their inputs once by the lcm of the denominators
+(:func:`~schreierkit.vectors.int_scaled`) and then add and compare Python
+ints; this is still exact and uses no floats.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from .families import (
     Family,
     FiniteSet,
     best_run_sums,
-    best_set_sum,
     finite_set,
     maximal_mask,
     norming_sets,
 )
 from .lp import LPResult, solve_lp_reduced
 from .schreier import OrdinalCNF, schreier_enumerate
-from .vectors import SparseVector
+from .vectors import SparseVector, int_scaled
 
 PValue = Union[int, Fraction, float]  # float only for math.inf
 T = TypeVar("T", Fraction, float)
@@ -53,9 +54,16 @@ def _is_inf(p: PValue) -> bool:
 
 
 def f_norm(x: SparseVector, family: Family) -> Fraction:
-    """The family norm of x: max of sup-norm and best member sum of |x|."""
-    weights = {k: abs(v) for k, v in x.items()}
-    return max(x.sup_norm(), best_set_sum(family, weights))
+    """The family norm of x: max of sup-norm and best member sum of |x|.
+
+    The |x_k| are scaled to ints once; the best member sum is the last run of
+    :func:`~schreierkit.families.best_run_sums` on the whole support, and the
+    sup-norm is the largest of the same ints.
+    """
+    ints, scale = int_scaled(v for _, v in x.items())
+    weights = list(map(abs, ints))
+    runs = best_run_sums(family, x.support, weights, 0)
+    return Fraction(max(weights + runs, default=0), scale)
 
 
 def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
@@ -80,8 +88,8 @@ def _block_dp(x: SparseVector, family: Family, power: Callable[[Fraction], T]) -
     # ||x restricted to support[i:j]||_F in those units: the larger of the top
     # weight and the best member sum on the run, one trie walk per row i
     support = x.support
-    scale = math.lcm(*(v.denominator for _, v in x.items()))
-    weights = [abs(v.numerator) * (scale // v.denominator) for _, v in x.items()]
+    ints, scale = int_scaled(v for _, v in x.items())
+    weights = list(map(abs, ints))
     runs = [
         list(map(max, itertools.accumulate(weights[i:], max),
                  best_run_sums(family, support, weights, i)))
@@ -167,9 +175,9 @@ def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> 
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    scale = math.lcm(eps.denominator, *(v.denominator for x in xs for _, v in x.items()))
-    ints = [{k: v.numerator * (scale // v.denominator) for k, v in x.items()} for x in xs]
-    bar = eps.numerator * (scale // eps.denominator)
+    (bar, *flat), scale = int_scaled([eps, *(v for x in xs for _, v in x.items())])
+    coords = iter(flat)
+    ints = [dict(zip(x.support, itertools.islice(coords, len(x)))) for x in xs]
     for s in norming_sets(family, finite_set({k for x in xs for k in x.support})):
         rows = [[x.get(k, 0) for k in s] for x in ints]
         definite = all(min(row) >= 0 or max(row) <= 0 for row in rows)
@@ -235,8 +243,8 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
     # |y_n| = W_n / den_n, with W_n an int map scaled once by the lcm den_n
     weights = []
     for y in ys:
-        den = math.lcm(*(v.denominator for _, v in y.items()))
-        weights.append(({e: abs(v.numerator) * (den // v.denominator) for e, v in y.items()}, den))
+        ints, den = int_scaled(v for _, v in y.items())
+        weights.append((dict(zip(y.support, map(abs, ints))), den))
     union_supp = finite_set({e for w, _ in weights for e in w} or {1})
     functionals = norming_sets(family, union_supp)
 

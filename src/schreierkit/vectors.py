@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
+
+
+def int_scaled(values: Iterable[Rational]) -> tuple[list[int], int]:
+    """``values`` times the lcm of their denominators, as ints, and that lcm.
+
+    int and ``Fraction`` entries are read as they are; any other entry goes
+    through ``Fraction`` first.  No values give ``([], 1)``."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 class SparseVector:

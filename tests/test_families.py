@@ -263,17 +263,34 @@ def test_best_set_sum_matches_scan():
         lambda ks: {k: Fraction(rng.randint(0, 10**6), rng.choice(primes)) for k in ks},
         lambda ks: {k: rng.randint(0, 9) for k in ks},
     ]
-    for fml in fams:
-        for make in weight_maps:
-            for _ in range(20):
-                weights = make(rng.sample(range(1, 13), rng.randint(1, 6)))
-                want = Fraction(0)
-                for s in fml:
-                    total = sum((weights.get(k, Fraction(0)) for k in s), Fraction(0))
-                    want = max(want, total)
-                got = best_set_sum(fml, weights)
-                assert got == want
-                assert type(got) is Fraction
+    drawn = [
+        (fml, make(rng.sample(range(1, 13), rng.randint(1, 6))))
+        for fml in fams for make in weight_maps for _ in range(20)
+    ]
+    # inputs a preorder walk can get wrong: a best member reached only through
+    # interior nodes that carry no weight, zero weights, no weights at all,
+    # and numerators around 2^200
+    big = 2**200
+    off_path = Family([[1, 2, 3, 11], [4, 5]])
+    edge = [
+        (off_path, {11: 5, 4: 2, 5: 2}),
+        (hereditary_closure(off_path), {11: 5, 4: 2, 5: 2}),
+        (fams[0], {1: 0, 3: 0, 5: Fraction(4, 3), 6: 0, 7: 3}),
+        (fams[3], {1: 0, 2: 0, 5: 0, 9: 0}),
+        *((fml, weights) for fml in fams for weights in ({}, {3: 1})),
+        (fams[0], {k: Fraction(big + k, 3 + k) for k in (2, 4, 5, 9)}),
+        (fams[3], {1: big, 9: big - 1, 3: Fraction(2 * big + 1, 3)}),
+    ]
+    for fml, weights in drawn + edge:
+        want = Fraction(0)
+        for s in fml:
+            total = sum((weights.get(k, Fraction(0)) for k in s), Fraction(0))
+            want = max(want, total)
+        got = best_set_sum(fml, weights)
+        assert got == want
+        assert type(got) is Fraction
+        sup = max(weights.values(), default=0)
+        assert max(sup, got) == family_norm_brute(fml.members(), weights)
 
 
 def test_partition_measure_validation():
@@ -375,6 +392,17 @@ member_lists = st.lists(
 @example([(), (9,)], [(1,)], True, random.Random(1), frozenset({9}), {9: 3}, Fraction(1))
 # a block may not start at the previous block's maximum
 @example([(1, 2), (2,)], [(1, 2)], False, random.Random(2), frozenset(), {}, Fraction(1))
+# runs from start > 0 on paths through labels below support[start], and a
+# best member reached only through interior nodes off the support
+@example(
+    [(1, 4, 6), (2, 5), (1, 2, 3, 9)], [], False, random.Random(3), frozenset(),
+    {4: 3, 5: 2, 6: 1, 9: 5}, Fraction(1),
+)
+# zero weights and numerators around 2^200
+@example(
+    [(1, 2, 8), (3, 8), (2,)], [], True, random.Random(4), frozenset({2, 8}),
+    {8: 0, 2: 0, 3: 2**200 + 1, 1: 2**200 - 1, 11: 2**200}, Fraction(1),
+)
 def test_family_operations_match_set_oracle(sets, other, with_empty, rnd, m, weights, lam):
     """Every trie walk against a plain set of tuples, on families built from
     shuffled, repeated, non-hereditary input in several insertion orders."""
@@ -420,7 +448,11 @@ def test_family_operations_match_set_oracle(sets, other, with_empty, rnd, m, wei
             max((sum(ws[q] for q in range(start, j) if support[q] in s) for s in oracle), default=0)
             for j in range(start + 1, len(support) + 1)
         ]
-        assert best_run_sums(f, support, ws, start) == want
+        got = best_run_sums(f, support, ws, start)
+        assert got == want
+        for j, total in enumerate(got, start=start + 1):
+            run = {support[q]: ws[q] for q in range(start, j)}
+            assert max(max(ws[start:j]), total) == family_norm_brute(oracle, run)
 
     measure = PartitionMeasure.uniform(PIECES)
     piece = {e: n for n, p in enumerate(PIECES, start=1) for e in p}

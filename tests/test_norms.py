@@ -161,6 +161,14 @@ block_coords = st.dictionaries(
 @given(members_strategy, block_coords, st.sets(st.integers(0, 6)))
 @example([[], [1, 3, 10], [3, 10], [1, 3], [5, 6, 7]], {3: 1, 5: Fraction(1, 2), 7: 2}, {1})
 @example([[1, 10], []], {4: Fraction(-2, 3), 6: 1}, set())
+# runs from start > 0 on paths through labels below support[start], a best
+# member reached only through interior nodes off the support, numerators
+# around 2^200, the empty family, the family {empty set} and the zero vector
+@example([[2, 4, 9], [1, 3, 5, 7]], {4: Fraction(2**200 + 1, 3), 5: 2**200 - 1, 9: -(2**200)}, {1})
+@example([[1, 2, 3, 8], [6, 7]], {6: 1, 7: 1, 8: 3}, {0})
+@example([], {3: 1, 5: Fraction(1, 2)}, set())
+@example([[]], {3: 1}, set())
+@example([[1, 2]], {}, set())
 def test_block_rows_match_segment_norms(members, coords, zeroed):
     x = SparseVector(coords)
     support = x.support
@@ -178,6 +186,8 @@ def test_block_rows_match_segment_norms(members, coords, zeroed):
                     assert got == family_norm_brute(fam.members(), segment), (i, j)
         for p in (1, 2, 3):
             assert block_p_norm_power(x, fam, p) == block_power_brute(coords, fam.members(), p)
+        got = f_norm(x, fam)
+        assert got == family_norm_brute(fam.members(), coords) and type(got) is Fraction
 
 
 def test_block_lower_bound_scaled_claim():
