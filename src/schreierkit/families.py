@@ -368,16 +368,9 @@ def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
     in lexicographic order.
 
     ||x||_F is the largest of these sums for x supported in ``support``; a
-    trace member of size <= 1 adds nothing the singletons do not.  On a
-    hereditary family the trace is the set of members inside the support:
-    for any member s, s & M is a member with the same sum.  So they are read
-    from the support-only walk, whose preorder is lexicographic."""
-    if family.hereditary_flag is True:
-        inside = Family._from_arrays(*_support_arrays(family, support))
-        wide = [s for s in inside if len(s) >= 2]
-    else:
-        wide = sorted(s for s in _trace_images(family, set(support)) if len(s) >= 2)
-    return [(k,) for k in support] + wide
+    trace member of size <= 1 adds nothing the singletons do not.  The
+    members are read from :func:`trace`, whose preorder is lexicographic."""
+    return [(k,) for k in support] + [s for s in trace(family, support) if len(s) >= 2]
 
 
 def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:

@@ -194,9 +194,9 @@ def dfjp_norm(
     brackets = tuple(
         dfjp_gauge(GaugeProblem(x, n, family, tolerance)) for n in range(1, n_max + 1)
     )
-    powered_lo = sum((b.lo**pint for b in brackets), Fraction(0))
-    powered_hi = sum((b.hi**pint for b in brackets), Fraction(0))
+    # every bracket is exact (lo == hi), so the sum is taken once
+    powered = sum((b.lo**pint for b in brackets), Fraction(0))
     l1 = x.l1_norm()
     ratio = Fraction(1, 2**pint)
     tail = (l1**pint) * ratio ** (n_max + 1) / (1 - ratio)
-    return DfjpNormResult(brackets, powered_lo, powered_hi + tail, tail, pint)
+    return DfjpNormResult(brackets, powered, powered + tail, tail, pint)

@@ -11,7 +11,8 @@ with its rhs, and the cost vector, is scaled once by the lcm of its
 denominators, and pivots are fraction-free Gauss-Jordan steps (Edmonds 1967,
 Bareiss 1968): with one common denominator d for the whole tableau, a pivot
 on p replaces row i by (p * row_i - row_i[s] * pivot_row) / d, a division
-that is always exact, and then sets d = p.  Ratio tests compare by
+that is always exact, and then sets d = p.  The cost row is the tableau's
+last row, so every pivot updates it with the others.  Ratio tests compare by
 cross-multiplication, so the pivot sequence is the one Bland's rule takes in
 exact rationals.  No float is used anywhere.
 
@@ -79,87 +80,77 @@ def solve_lp(
     flips = [-1 if row[-1] < 0 else 1 for row in scaled]
     # column layout: x, one slack per ub row, then one artificial per row
     # that needs one: equalities, and rows flipped to a nonnegative rhs (a
-    # flipped slack has coefficient -1, unusable as an initial basis)
-    slack_col: list[Optional[int]] = [n + i if i < n_ub else None for i in range(m)]
-    art_col: list[Optional[int]] = []
-    ncols = n + n_ub
-    for i in range(m):
-        if slack_col[i] is None or flips[i] < 0:
-            art_col.append(ncols)
-            ncols += 1
-        else:
-            art_col.append(None)
+    # flipped slack has coefficient -1, unusable as an initial basis).
+    # unit_col[i] is row i's artificial if it has one, else its slack: the
+    # column with a 1 in row i and 0 elsewhere, so it starts basic there.
+    arts = [i for i in range(m) if i >= n_ub or flips[i] < 0]
+    unit_col = [n + i for i in range(m)]
+    for k, i in enumerate(arts):
+        unit_col[i] = n + n_ub + k
+    ncols = n + n_ub + len(arts)
+    artificials = set(range(n + n_ub, ncols))
 
-    # The tableau holds ints, rhs last.  Row i is the scaled row, flipped;
+    # The tableau holds ints, rhs last.  Row i < m is the scaled row, flipped;
     # its slack and artificial keep coefficients +-1 and 1, so they stand
-    # for scales[i] times the original slack and artificial.
+    # for scales[i] times the original slack and artificial.  Row m, once
+    # set, is the cost row: d times the reduced costs, and -d times the
+    # objective value in the rhs slot.
     tableau: list[list[int]] = []
     for i, ints in enumerate(scaled):
         f = flips[i]
         row = [f * v for v in ints[:-1]] + [0] * (ncols - n) + [f * ints[-1]]
-        if slack_col[i] is not None:
-            row[slack_col[i]] = f
-        if art_col[i] is not None:
-            row[art_col[i]] = 1
+        if i < n_ub:
+            row[n + i] = f
+        row[unit_col[i]] = 1
         tableau.append(row)
 
-    basis = [art_col[i] if art_col[i] is not None else slack_col[i] for i in range(m)]
-    artificials = {col for col in art_col if col is not None}
+    basis = list(unit_col)
     # fraction-free (Edmonds/Bareiss) state: the current canonical tableau is
     # tableau / d, and every pivot divides exactly by the previous pivot d
     d = 1
     pivots = [0, 0]
 
-    def build_objective(costs: list[int]) -> list[int]:
-        # d * (reduced costs), and -d * (objective value) in the rhs slot
+    def set_objective(costs: list[int]) -> None:
         obj = [d * v for v in costs] + [0]
         for i, b in enumerate(basis):
             cb = costs[b]
             if cb:
-                row = tableau[i]
-                for j, v in enumerate(row):
+                for j, v in enumerate(tableau[i]):
                     if v:
                         obj[j] -= cb * v
-        return obj
+        tableau[m:] = [obj]
 
-    def pivot(pi: int, pj: int, obj: Optional[list[int]], phase: int) -> Optional[list[int]]:
+    def pivot(pi: int, pj: int, phase: int) -> None:
         nonlocal d
         prow = tableau[pi]
         p = prow[pj]
         # the tableau is mostly zeros: scale every entry, then combine with
         # the pivot row only where it is nonzero
         nonzero = [j for j, b in enumerate(prow) if b]
-
-        def combine(row: list[int]) -> list[int]:
+        for i, row in enumerate(tableau):
             f = row[pj]
+            if i == pi or (not f and p == d):
+                continue
             new = [a * p // d if a else 0 for a in row] if p != d else list(row)
             if f:
                 for j in nonzero:
                     new[j] = (p * row[j] - f * prow[j]) // d
-            return new
-
-        for i in range(m):
-            if i != pi and (tableau[i][pj] or p != d):
-                tableau[i] = combine(tableau[i])
-        if obj is not None:
-            obj = combine(obj)
+            tableau[i] = new
         d = p
         if d < 0:
             # only a phase-1 pivot-out pivots on a negative entry
             d = -d
-            for i in range(m):
-                tableau[i] = [-v for v in tableau[i]]
-            if obj is not None:
-                obj = [-v for v in obj]
+            for i, row in enumerate(tableau):
+                tableau[i] = [-v for v in row]
         basis[pi] = pj
         pivots[phase] += 1
-        return obj
 
-    def run(obj: list[int], barred: set[int], phase: int) -> tuple[str, list[int]]:
+    def run(barred: set[int], phase: int) -> str:
         while True:
+            obj = tableau[m]
             enter = next((j for j in range(ncols) if j not in barred and obj[j] < 0), -1)
             if enter < 0:
-                return "optimal", obj
+                return "optimal"
             # Bland's ratio test, rhs_i / a_i compared by cross-multiplication
             leave = -1
             for i in range(m):
@@ -173,22 +164,22 @@ def solve_lp(
                     if left < right or (left == right and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
-                return "unbounded", obj
-            obj = pivot(leave, enter, obj, phase)
+                return "unbounded"
+            pivot(leave, enter, phase)
 
     # phase 1: drive artificial variables to zero; the artificial of row i
     # costs 1/scales[i], i.e. 1 per unit of the original artificial
-    if artificials:
+    if arts:
         costs1 = [0] * ncols
-        unit = math.lcm(*(scales[i] for i in range(m) if art_col[i] is not None))
-        for i in range(m):
-            if art_col[i] is not None:
-                costs1[art_col[i]] = unit // scales[i]
-        status, obj1 = run(build_objective(costs1), set(), 0)
-        if status != "optimal" or obj1[-1] < 0:
+        unit = math.lcm(*(scales[i] for i in arts))
+        for i in arts:
+            costs1[unit_col[i]] = unit // scales[i]
+        set_objective(costs1)
+        if run(set(), 0) != "optimal" or tableau[m][-1] < 0:
             return LPResult("infeasible", None, None, None, None, None, tuple(pivots))
         # pivot out artificials still basic (at value zero), so phase 2 can
-        # never move them; a row with no real column is redundant and inert
+        # never move them; a row with no real column is redundant and inert.
+        # These pivots update the phase-1 cost row too, which phase 2 replaces
         for i in range(m):
             if basis[i] in artificials:
                 piv = next(
@@ -197,11 +188,11 @@ def solve_lp(
                     None,
                 )
                 if piv is not None:
-                    pivot(i, piv, None, 0)
+                    pivot(i, piv, 0)
 
     costs2, cscale = int_scaled(c)
-    status, obj2 = run(build_objective(costs2 + [0] * (ncols - n)), artificials, 1)
-    if status != "optimal":
+    set_objective(costs2 + [0] * (ncols - n))
+    if run(artificials, 1) != "optimal":
         return LPResult("unbounded", None, None, None, None, None, tuple(pivots))
 
     # the certificate in ints, as the tableau leaves it: x = X/d, objective
@@ -212,8 +203,8 @@ def solve_lp(
     for i, b in enumerate(basis):
         if b < n:
             xs[b] = tableau[i][-1]
-    value = -obj2[-1]
-    ys = [-flips[i] * obj2[slack_col[i] if art_col[i] is None else art_col[i]] for i in range(m)]
+    value = -tableau[m][-1]
+    ys = [-flips[i] * tableau[m][unit_col[i]] for i in range(m)]
     dual_value = _certify(costs2, scaled[:n_ub], scaled[n_ub:], xs, d, value, ys[:n_ub], ys[n_ub:])
 
     den = d * cscale
@@ -256,9 +247,7 @@ def solve_lp_reduced(
     dual_ub = [Fraction(0)] * len(a_ub)
     for i, y in zip(kept, res.dual_ub):
         dual_ub[i] = y
-    return LPResult(
-        res.status, res.x, res.objective, dual_ub, res.dual_eq, res.dual_objective, res.pivots
-    )
+    return res._replace(dual_ub=dual_ub)
 
 
 def _certify(costs, ub, eq, xs, d, value, y_ub, y_eq) -> int:

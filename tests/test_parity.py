@@ -20,6 +20,7 @@ from schreierkit import (
     baernstein_norm,
     barrier_member,
     block_p_norm_power,
+    best_set_sum,
     bounded_cardinality_family,
     check_inclusion,
     dfjp_gauge,
@@ -33,10 +34,12 @@ from schreierkit import (
     schreier_enumerate,
     schreier_family,
     schreier_member,
+    solve_lp,
     spreading_constant,
     uniform_weak_bound,
 )
 from schreierkit import tfamily as tf
+from schreierkit.lp import LPCertificateError, solve_lp_reduced
 
 ORDINALS = [parse_ordinal(t) for t in ("0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2+w")]
 
@@ -80,7 +83,9 @@ def test_schreier_layer():
         for beta in ORDINALS[i + 1 :]:
             for w in windows:
                 out.append((str(alpha), str(beta), check_inclusion(alpha, beta, w)))
-    assert digest(out) == "e9cfc39b0c17c8c73be8f0a15d92d42131ac990f9595b7e22b6bc5f4e3fd201d"
+    # the windows above give shifts 1 and 3 only; 2 < w on 1..24 has shift 4
+    out.append(check_inclusion(ORDINALS[2], ORDINALS[4], interval(1, 24)))
+    assert digest(out) == "88e40616dbc288babf13f76ada7b8d5d3cdae290f4693a57f2dc994be8f02b32"
 
 
 def test_norm_layer():
@@ -92,7 +97,15 @@ def test_norm_layer():
             x = rand_vector(rng, w, 7)
             out.append((x, f_norm(x, fam), block_p_norm_power(x, fam, rng.randint(1, 3))))
             out.append(baernstein_norm(x, fam, rng.choice([1, 2, 3, Fraction(3, 2), float("inf")])))
-    assert digest(out) == "8fc24a184940a6742fe5a345b77cc4b1d8eb59237eb75bac9d08c067a30a13b8"
+            out.append(best_set_sum(fam, dict(x.items())))
+    # one dominant early pair in a family that is not hereditary: the best
+    # member sum of a run often ends before the run's last position
+    for _ in range(30):
+        fam = Family([(1, 2)] + [tuple(sorted(rng.sample(w, rng.randint(1, 4)))) for _ in range(4)])
+        x = rand_vector(rng, w, 7) + SparseVector({1: rng.randint(4, 9), 2: rng.randint(4, 9)})
+        out.append((x, f_norm(x, fam), block_p_norm_power(x, fam, rng.randint(2, 3))))
+        out.append((baernstein_norm(x, fam, Fraction(3, 2)), best_set_sum(fam, dict(x.items()))))
+    assert digest(out) == "b6b85db35ed7081f5b89f74b0f93d9233d904e30ad693403d6a891fbe9ea7eea"
 
 
 def test_eps_support_layer():
@@ -109,6 +122,38 @@ def test_eps_support_layer():
     assert digest(out) == "02883a9ca05a96325144a310ce6cca9fa7d7509a9123370c80cd77ccb262fece"
 
 
+def direct_lps(rng):
+    """Small LPs that reach every branch of ``solve_lp``.
+
+    Ub rows with a negative rhs are flipped and get an artificial; an
+    equality row with a scaled copy leaves an artificial basic at zero after
+    phase 1, to be pivoted out on a negative or positive entry, or left in an
+    inert row.  Some problems are infeasible, and without the bounding sum
+    row some are unbounded.  Mixed denominators give the artificials
+    different phase-1 costs.
+    """
+
+    def entry(lo, hi, den):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den))
+
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        c = [entry(-3, 6, 4) for _ in range(n)]
+        a_ub = [[entry(-3, 5, 3) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        b_ub = [entry(-3, 6, 3) for _ in a_ub]
+        a_eq = [[entry(-3, 3, 2) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+        b_eq = [entry(-2, 3, 2) * rng.randint(0, 1) for _ in a_eq]
+        if a_eq and rng.randint(0, 1):
+            i = rng.randrange(len(a_eq))
+            k = Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2))
+            a_eq.append([k * v for v in a_eq[i]])
+            b_eq.append(k * b_eq[i])
+        if rng.random() < 0.7:
+            a_ub.append([Fraction(1)] * n)
+            b_ub.append(entry(0, 6, 3))
+        yield c, a_ub, b_ub, a_eq, b_eq
+
+
 def test_lp_layer():
     rng = random.Random(604)
     out = []
@@ -123,7 +168,19 @@ def test_lp_layer():
             lam = Fraction(rng.randint(1, 4), rng.randint(1, 4))
             out.append(inner_distance(x, fam, lam, level))
             out.append(dfjp_norm(x, fam, rng.randint(2, 3), n_max=3))
-    assert digest(out) == "d23d1941c4738e565e5296796e02a77c1d5e694c1ae331159a04cf048dc8bd94"
+    for c, a_ub, b_ub, a_eq, b_eq in direct_lps(rng):
+        out.append(solve_lp(c, a_ub, b_ub, a_eq, b_eq))
+        # the same LP with rows left out: x_j <= the sum bound is implied,
+        # x_j <= a third of it may not be
+        if a_ub and all(v == 1 for v in a_ub[-1]):
+            extra = [[int(j == k) for k in range(len(c))] for j in range(len(c))]
+            rhs = [b_ub[-1] * rng.choice((1, 2, Fraction(1, 3))) for _ in extra]
+            keep = [True] * len(a_ub) + [False] * len(extra)
+            try:
+                out.append(solve_lp_reduced(c, a_ub + extra, b_ub + rhs, keep, a_eq, b_eq))
+            except LPCertificateError as err:
+                out.append(err)
+    assert digest(out) == "311d8292167e565ddfef629c21c6f39a26ca4ca709531ae155560c64201102ac"
 
 
 def test_tfamily_layer():
