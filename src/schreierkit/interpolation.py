@@ -19,11 +19,12 @@ with a verified duality certificate gives the gauge value itself.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional, Union
 
 from .families import Family, maximal_mask, norming_sets
-from .lp import LPResult, solve_lp_reduced
-from .norms import float_root
+from .lp import LPResult, solve_lp
+from .norms import certify_left_out_rows, float_root
 from .vectors import Rational, SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
@@ -78,11 +79,11 @@ def _distance_lp(
     or <= 2^level lam.  z_k stands for |z_k| of a sign-aligned split, which
     loses nothing because both norms are monotone in each |coordinate|.
 
-    Only the inclusion-maximal norming sets reach the simplex: the z_k are
+    Rows are built only for the inclusion-maximal norming sets: the z_k are
     >= 0, so a set's row implies the rows of its subsets.  The rows left out
-    are checked exactly against the optimum and get dual 0 (see
-    :func:`~schreierkit.lp.solve_lp_reduced`), so the result and its
-    certificate are those of the LP with every row."""
+    are certified by one :func:`~schreierkit.norms.f_norm` call on z and get
+    dual 0 (see :func:`~schreierkit.norms.certify_left_out_rows`), so the
+    result and its certificate are those of the LP with every row."""
     supp = x.support
     if not supp:
         raise ValueError("inner distance needs a nonzero vector")
@@ -99,10 +100,11 @@ def _distance_lp(
         row[i] = 1
         a_ub.append(row)
         b_ub.append(absx[i])
-    # sum of z_k over each norming set <= t, or <= 2^{-level} lam
+    # sum of z_k over each maximal norming set <= t, or <= 2^{-level} lam
     sets = norming_sets(family, supp)
+    mask = maximal_mask(sets)
     last = Fraction(-1, budget) if gauge else -1
-    for s in sets:
+    for s in compress(sets, mask):
         row = [0] * (m + 1)
         for k in s:
             row[pos[k]] = 1
@@ -113,12 +115,13 @@ def _distance_lp(
     a_ub.append([-1] * m + [-budget if gauge else 0])
     b_ub.append((0 if gauge else budget * abs(lam)) - sum(absx))
 
-    keep = [True] * m + maximal_mask(sets) + [True]
     c = [0] * m + [1]
-    res = solve_lp_reduced(c, a_ub, b_ub, keep)
+    res = solve_lp(c, a_ub, b_ub)
     if not res.optimal:
         raise RuntimeError(f"distance LP unexpectedly {res.status}")
-    return res
+    z = SparseVector(zip(supp, res.x[:m]))
+    bound = res.objective / budget if gauge else res.objective
+    return certify_left_out_rows(res, [True] * m + mask + [True], z, family, bound)
 
 
 class GaugeBracket(NamedTuple):

@@ -215,41 +215,6 @@ def solve_lp(
     )
 
 
-def solve_lp_reduced(
-    c: Sequence[Rational],
-    a_ub: Sequence[Sequence[Rational]],
-    b_ub: Sequence[Rational],
-    keep: Sequence[bool],
-    a_eq: Sequence[Sequence[Rational]] = (),
-    b_eq: Sequence[Rational] = (),
-) -> LPResult:
-    """:func:`solve_lp` on the ub rows ``i`` with ``keep[i]``, answered for all.
-
-    The caller asserts that every other ub row is implied by the kept rows
-    and x >= 0.  Only the kept rows reach :func:`solve_lp`, whose certificate
-    covers them.  Each other row is scaled to ints and checked exactly
-    against the optimal x, written as X/D over the lcm D of its denominators
-    (:class:`LPCertificateError` if it fails), and gets dual 0 in
-    ``dual_ub``, so an optimal result and its certificate are those of the
-    full LP.
-    """
-    kept = [i for i, flag in enumerate(keep) if flag]
-    res = solve_lp(c, [a_ub[i] for i in kept], [b_ub[i] for i in kept], a_eq, b_eq)
-    if not res.optimal:
-        return res
-    xs, den = int_scaled(res.x)
-    nz = [(j, v) for j, v in enumerate(xs) if v]
-    for row, b, flag in zip(a_ub, b_ub, keep):
-        if not flag:
-            ints, _ = int_scaled([*row, b])
-            if sum(ints[j] * v for j, v in nz) > ints[-1] * den:
-                raise LPCertificateError("primal violation of a row left out as implied")
-    dual_ub = [Fraction(0)] * len(a_ub)
-    for i, y in zip(kept, res.dual_ub):
-        dual_ub[i] = y
-    return res._replace(dual_ub=dual_ub)
-
-
 def _certify(costs, ub, eq, xs, d, value, y_ub, y_eq) -> int:
     """Check primal and dual feasibility and strong duality in ints; return Y.B.
 

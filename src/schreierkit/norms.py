@@ -38,7 +38,7 @@ from .families import (
     maximal_mask,
     norming_sets,
 )
-from .lp import LPResult, solve_lp_reduced
+from .lp import LPCertificateError, LPResult, solve_lp
 from .schreier import OrdinalCNF, schreier_enumerate
 from .vectors import SparseVector, int_scaled
 
@@ -232,11 +232,11 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
     so the minimax is a linear program, solved with exact rational pivoting
     and certified by duality.
 
-    Only the inclusion-maximal functionals reach the simplex: the convex
+    Rows are built only for the inclusion-maximal functionals: the convex
     coefficients and the |y_n| are >= 0, so a set's row implies the rows of
-    its subsets.  The rows left out are checked exactly against the optimum
-    and get dual 0 (see :func:`~schreierkit.lp.solve_lp_reduced`), so
-    ``lp`` and its certificate are those of the LP with every row.
+    its subsets.  The rows left out are certified by one :func:`f_norm` call
+    and get dual 0 (see :func:`certify_left_out_rows`), so ``lp`` and its
+    certificate are those of the LP with every row.
     """
     if not ys:
         raise ValueError("need at least one vector")
@@ -247,22 +247,41 @@ def spreading_constant(ys: Sequence[SparseVector], family: Family) -> SpreadingR
         weights.append((dict(zip(y.support, map(abs, ints))), den))
     union_supp = finite_set({e for w, _ in weights for e in w} or {1})
     functionals = norming_sets(family, union_supp)
+    keep = maximal_mask(functionals)
 
     k = len(ys)
-    # variables: a_1..a_k, t;  minimize t subject to, per functional s,
-    # sum_n a_n |y_n|(s) <= t, with |y_n|(s) = W_n(s) / den_n
+    # variables: a_1..a_k, t;  minimize t subject to, per maximal functional
+    # s, sum_n a_n |y_n|(s) <= t, with |y_n|(s) = W_n(s) / den_n
     c = [0] * k + [1]
     a_ub = [
         [Fraction(sum(w.get(e, 0) for e in s), den) for w, den in weights] + [-1]
-        for s in functionals
+        for s in itertools.compress(functionals, keep)
     ]
-    b_ub = [0] * len(functionals)
-    a_eq = [[1] * k + [0]]
-    b_eq = [1]
-    res = solve_lp_reduced(c, a_ub, b_ub, maximal_mask(functionals), a_eq, b_eq)
+    res = solve_lp(c, a_ub, [0] * len(a_ub), [[1] * k + [0]], [1])
     if not res.optimal:
         raise RuntimeError(f"spreading LP unexpectedly {res.status}")
+    combo = SparseVector((e, a * v / den) for a, (w, den) in zip(res.x, weights) for e, v in w.items())
+    res = certify_left_out_rows(res, keep, combo, family, res.objective)
     return SpreadingResult(res.objective, res.x[:k], res)
+
+
+def certify_left_out_rows(
+    res: LPResult, keep: Sequence[bool], point: SparseVector, family: Family, bound: Fraction
+) -> LPResult:
+    """``res`` answered for every ub row, kept or not, by one exact norm.
+
+    ``res`` solved an LP whose ub rows are those ``i`` with ``keep[i]``.
+    Each row left out reads: the sum of ``point`` over a norming set of
+    ``family`` is at most ``bound``.  The largest such sum is
+    ``f_norm(point, family)``, so that one call checks every row left out
+    (:class:`~schreierkit.lp.LPCertificateError` if one fails).  Each of
+    them gets dual 0 in ``dual_ub``, so an optimal result and its
+    certificate are those of the LP with every row.
+    """
+    if f_norm(point, family) > bound:
+        raise LPCertificateError("primal violation of a row left out as implied")
+    duals = iter(res.dual_ub)
+    return res._replace(dual_ub=[next(duals) if kept else Fraction(0) for kept in keep])
 
 
 def cesaro_profile(

@@ -122,7 +122,14 @@ def vector_from_obj(obj: dict) -> SparseVector:
         isinstance(c, list) and len(c) == 2 for c in coords
     ):
         raise ValueError('"coords" must be an array of [index, value] pairs')
-    return SparseVector([(k, parse_rational(v)) for k, v in coords])
+    x = SparseVector([(k, parse_rational(v)) for k, v in coords])
+    # SparseVector has checked that every index is an int, so each is hashable
+    seen: set[int] = set()
+    for k, _ in coords:
+        if k in seen:
+            raise ValueError(f'"coords": index {k} appears more than once')
+        seen.add(k)
+    return x
 
 
 def tparams_from_obj(obj: dict) -> tuple[TParams, Optional[int]]:

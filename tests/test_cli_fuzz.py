@@ -91,6 +91,8 @@ bad_vector = st.one_of(
     without("coords"),
     st.fixed_dictionaries({"coords": not_array}),
     st.fixed_dictionaries({"coords": with_one_bad(pair, bad_pair)}),
+    # each index at most once: a repeat would be summed silently
+    st.fixed_dictionaries({"coords": st.lists(pair, min_size=1, max_size=3).map(lambda ps: ps + ps[:1])}),
 )
 
 bad_measure = st.one_of(

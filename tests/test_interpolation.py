@@ -20,8 +20,9 @@ from schreierkit import (
     spreading_constant,
     trace,
 )
-from schreierkit import lp
+from schreierkit import interpolation, lp, norms
 from schreierkit.families import maximal_mask, norming_sets
+from schreierkit.lp import LPCertificateError
 
 BASE = bounded_cardinality_family(interval(1, 5), 2)
 
@@ -224,9 +225,14 @@ def test_lattice_lp_equals_linearized_lp(coords, sets, level, sign, size):
     assert inner_distance(x, family, lam, level).objective == ref.objective
 
 
+HOOK_FAMILY = schreier_family(interval(1, 8))
+HOOK_X = SparseVector({k: Fraction(k, 3) for k in (2, 3, 5, 6, 8)})
+HOOK_YS = [SparseVector({2: 1, 5: Fraction(1, 2)}), SparseVector({3: 2, 6: 1, 8: 1})]
+
+
 def test_each_gauge_and_spreading_call_solves_one_lp_on_the_kept_rows(monkeypatch):
-    # the hook a tracer wraps: solve_lp_reduced reaches solve_lp through the
-    # module global, so a wrapper there sees every solve and its row count
+    # the hook a tracer wraps: the callers reach solve_lp through their own
+    # module globals, so a wrapper there sees every solve and its row count
     seen = []
     real = lp.solve_lp
 
@@ -234,9 +240,9 @@ def test_each_gauge_and_spreading_call_solves_one_lp_on_the_kept_rows(monkeypatc
         seen.append(len(a_ub) + len(a_eq))
         return real(c, a_ub, b_ub, a_eq, b_eq)
 
-    monkeypatch.setattr(lp, "solve_lp", counted)
-    family = schreier_family(interval(1, 8))
-    x = SparseVector({k: Fraction(k, 3) for k in (2, 3, 5, 6, 8)})
+    monkeypatch.setattr(interpolation, "solve_lp", counted)
+    monkeypatch.setattr(norms, "solve_lp", counted)
+    family, x = HOOK_FAMILY, HOOK_X
     mask = maximal_mask(norming_sets(family, x.support))
     assert sum(mask) < len(mask)
     kept = len(x.support) + sum(mask) + 1  # boxes, maximal sets, the l1 row
@@ -247,9 +253,25 @@ def test_each_gauge_and_spreading_call_solves_one_lp_on_the_kept_rows(monkeypatc
         seen.clear()
         call()
         assert seen == [kept]
-    ys = [SparseVector({2: 1, 5: Fraction(1, 2)}), SparseVector({3: 2, 6: 1, 8: 1})]
     mask = maximal_mask(norming_sets(family, (2, 3, 5, 6, 8)))
     assert sum(mask) < len(mask)
     seen.clear()
-    spreading_constant(ys, family)
+    spreading_constant(HOOK_YS, family)
     assert seen == [sum(mask) + 1]  # maximal sets, the convexity row
+
+
+def test_a_row_left_out_wrongly_fails_the_norm_certificate(monkeypatch):
+    # keep only the singletons: the optimum of that LP breaks some row left
+    # out, and the one f_norm call behind the rows left out must see it
+    def singletons(sets):
+        return [len(s) == 1 for s in sets]
+
+    monkeypatch.setattr(interpolation, "maximal_mask", singletons)
+    monkeypatch.setattr(norms, "maximal_mask", singletons)
+    for call in (
+        lambda: dfjp_gauge(GaugeProblem(HOOK_X, 2, HOOK_FAMILY)),
+        lambda: inner_distance(HOOK_X, HOOK_FAMILY, Fraction(1, 2), 2),
+        lambda: spreading_constant(HOOK_YS, HOOK_FAMILY),
+    ):
+        with pytest.raises(LPCertificateError, match="row left out as implied"):
+            call()

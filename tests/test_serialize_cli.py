@@ -131,6 +131,17 @@ def test_cli_norm_bad_input_exits_2(tmp_path):
         assert main(["tfamily", "build", "--config", write(tmp_path, "c.json", config)]) == 2
 
 
+def test_cli_norm_refuses_a_repeated_vector_index(tmp_path, capsys):
+    fam = write(tmp_path, "f.json", {"sets": [[1, 2], [3]]})
+    vec = write(tmp_path, "x.json", {"coords": [[3, "1/2"], [3, "1/2"]]})
+    assert main(["norm", "--family", fam, "--vector", vec]) == 2
+    assert "index 3 appears more than once" in capsys.readouterr().err
+    # an index that is not an int is refused as before, not as a repeat
+    listed = write(tmp_path, "y.json", {"coords": [[[3], "1/2"], [[3], "1/2"]]})
+    assert main(["norm", "--family", fam, "--vector", listed]) == 2
+    assert "indices must be integers >= 1, got [3]" in capsys.readouterr().err
+
+
 def test_cli_norm_refuses_a_false_heredity_claim(tmp_path, capsys):
     vec = write(tmp_path, "x.json", {"coords": [[2, "1"]]})
     claim = write(tmp_path, "f.json", {"sets": [[1, 2]], "hereditary": True})

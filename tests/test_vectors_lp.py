@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierkit import SparseVector, solve_lp
-from schreierkit.lp import LPCertificateError, _certify, solve_lp_reduced
+from schreierkit.lp import LPCertificateError, _certify
 
 from oracles import lp_vertex_optimum
 
@@ -140,20 +140,6 @@ def test_lp_matches_vertex_enumeration(lp):
         assert res.status == "infeasible"
     else:
         assert res.optimal and res.objective == want
-
-
-def test_reduced_lp_answers_for_every_row():
-    # min -x - y over x + y <= 1; the rows x <= 1 and y <= 1 are implied
-    c = [-1, -1]
-    a_ub = [[1, 0], [1, 1], [0, 1]]
-    b_ub = [1, 1, 1]
-    res = solve_lp_reduced(c, a_ub, b_ub, [False, True, False])
-    assert res.optimal and res.objective == -1
-    assert res.dual_ub == [0, -1, 0]
-    assert res.objective == res.dual_objective
-    # the optimum found is x = 1, so x <= 1/2 is not implied and fails the check
-    with pytest.raises(LPCertificateError):
-        solve_lp_reduced(c, a_ub, [Fraction(1, 2), 1, 1], [False, True, False])
 
 
 def test_certify_rejects_every_broken_certificate():
