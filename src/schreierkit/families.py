@@ -11,16 +11,18 @@ between threads.
 
 Member sums come from one preorder branch-and-bound walk,
 :func:`best_run_sums`, which gives the best member sum on every run of a
-weighted support at once; :func:`best_set_sum` is its last run.
+weighted support at once; :func:`best_set_sum` is its last run.  Sums of
+int columns over every member's trace come from one preorder walk too,
+:func:`trace_sums`, with no row built per set.
 
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
 members inside a support M are the nodes whose path stays in M.  The trace
-and restriction on M and the norming sets then enter only the children whose
-label lies in M, and the member-sum walk only those that carry a weight;
-any other family takes the full walk.  The flag is a checked claim:
-``Family(sets, hereditary=True)`` refuses sets that are not closed under
-subsets, and only the constructors that build a closed family by
+and restriction on M, the norming sets and the trace sums then enter only the
+children whose label lies in M, and the member-sum walk only those that carry
+a weight; any other family takes the full walk.  The flag is a checked
+claim: ``Family(sets, hereditary=True)`` refuses sets that are not closed
+under subsets, and only the constructors that build a closed family by
 construction set it unchecked.
 
 Conventions
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -371,6 +374,54 @@ def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
     trace member of size <= 1 adds nothing the singletons do not.  The
     members are read from :func:`trace`, whose preorder is lexicographic."""
     return [(k,) for k in support] + [s for s in trace(family, support) if len(s) >= 2]
+
+
+def trace_sums(
+    family: Family, columns: Mapping[int, tuple[int, ...]]
+) -> Iterator[tuple[FiniteSet, tuple[int, ...]]]:
+    """Each nonempty member's trace on the support, with the column sums over it.
+
+    The support is the set of keys of ``columns``, whose values are tuples
+    of ints of one length.  For each nonempty member s the walk yields
+    s & support and the elementwise sum of the columns at its elements.
+    One preorder scan keeps, per depth, the image and the sums of the path
+    to the node entered there: a label in the support extends its parent's
+    by one tuple addition, any other shares them, and a member yields them.
+    So no row is built per set.  On a hereditary family the scan enters
+    only labels in the support and skips as :func:`_support_arrays` does,
+    so it yields each member of the trace once; on any other family it
+    visits every node, and an image repeats once per member that has it.
+    """
+    top = max(columns, default=0)
+    zero = (0,) * len(next(iter(columns.values()), ()))
+    label, depth, end, term = family._label, family._depth, family._end, family._term
+    hereditary = family.hereditary_flag is True
+    # images[d], sums[d], parent[d]: image, sums and index of the node entered at depth d
+    images: list[FiniteSet] = [()] * (family._height + 1)
+    sums = [zero] * (family._height + 1)
+    parent = [0] * (family._height + 1)
+    add = operator.add
+    i, size = 1, len(label)
+    while i < size:
+        e = label[i]
+        d = depth[i]
+        col = columns.get(e)
+        if col is not None:
+            images[d] = images[d - 1] + (e,)
+            sums[d] = tuple(map(add, sums[d - 1], col))
+        elif not hereditary:
+            images[d] = images[d - 1]
+            sums[d] = sums[d - 1]
+        elif e > top:
+            i = end[parent[d - 1]]
+            continue
+        else:
+            i = end[i]
+            continue
+        if term[i]:
+            yield images[d], sums[d]
+        parent[d] = i
+        i += 1
 
 
 def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:

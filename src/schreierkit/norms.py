@@ -19,7 +19,10 @@ the canonical exact result (see :func:`block_p_norm_power`).  Member scans
 (the trie walk, eps-supports and the uniform weak bound) and the spreading
 LP's rows scale their inputs once by the lcm of the denominators
 (:func:`~schreierkit.vectors.int_scaled`) and then add and compare Python
-ints; this is still exact and uses no floats.
+ints; this is still exact and uses no floats.  The eps-supports take one
+walk per call, :func:`~schreierkit.families.trace_sums`, which keeps every
+vector's signed and absolute sum along each path of the trie; only a path
+on which some vector changes sign falls back to its sign patterns.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .families import (
     finite_set,
     maximal_mask,
     norming_sets,
+    trace_sums,
 )
 from .lp import LPCertificateError, LPResult, solve_lp
 from .schreier import OrdinalCNF, schreier_enumerate
@@ -165,12 +169,18 @@ def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> 
     """The eps-supports {n : |f(x_n)| >= eps} of the norming functionals.
 
     A functional acts on the x_n only through its trace on their union
-    support, so the sets of :func:`~schreierkit.families.norming_sets` cover
-    them all.  Where every x_n is sign-definite on a set, the all-plus
-    pattern reaches sum_k |(x_n)_k| for every n at once, so its support
-    contains every other pattern's; otherwise each sign pattern is tried
-    with the first sign fixed (f and -f share a support), refused beyond
-    MAX_SIGN_PATTERNS.  Inputs are scaled to ints once by the common lcm.
+    support, so the singletons and the traces of the members cover them
+    all.  One walk of the trie (:func:`~schreierkit.families.trace_sums`)
+    gives each trace with every x_n's signed and absolute sum over it.
+    Where every x_n is sign-definite on a trace (|signed| = absolute), the
+    all-plus pattern reaches the absolute sums at once, and its support
+    contains every other pattern's.  A mixed trace falls back to the sign
+    patterns over it (:func:`_sign_pattern_supports`), refused beyond
+    MAX_SIGN_PATTERNS.  The mixed traces are collected first, so a trace
+    that many members share is tried once, and they are tried in
+    lexicographic order, so a refusal names the first refused trace of
+    :func:`~schreierkit.families.norming_sets`.  Inputs are scaled to ints
+    once by the common lcm.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -178,17 +188,43 @@ def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> 
     (bar, *flat), scale = int_scaled([eps, *(v for x in xs for _, v in x.items())])
     coords = iter(flat)
     ints = [dict(zip(x.support, itertools.islice(coords, len(x)))) for x in xs]
-    for s in norming_sets(family, finite_set({k for x in xs for k in x.support})):
-        rows = [[x.get(k, 0) for k in s] for x in ints]
-        definite = all(min(row) >= 0 or max(row) <= 0 for row in rows)
-        if not definite and 2 ** (len(s) - 1) > MAX_SIGN_PATTERNS:
-            raise ValueError(f"sign enumeration over {len(s)} coordinates refused")
-        for signs in itertools.product((1,) if definite else (1, -1), repeat=len(s) - 1):
-            theta = (1, *signs)
-            yield tuple(
-                n for n, row in enumerate(rows, start=1)
-                if abs(sum(map(operator.mul, theta, row))) >= bar
-            )
+    # the column at k: every x_n(k), then every |x_n(k)|, as ints
+    columns: dict[int, tuple[int, ...]] = {}
+    for k in finite_set({k for x in xs for k in x.support}):
+        signed = [x.get(k, 0) for x in ints]
+        columns[k] = (*signed, *map(abs, signed))
+    n_xs = len(xs)
+    for col in columns.values():
+        yield tuple(n for n, v in enumerate(col[n_xs:], start=1) if v >= bar)
+    mixed: set[FiniteSet] = set()
+    for s, sums in trace_sums(family, columns):
+        signed, absolute = sums[:n_xs], sums[n_xs:]
+        # sign-definite for every x_n; the tuples are equal when all sums are >= 0
+        if signed == absolute or tuple(map(abs, signed)) == absolute:
+            yield tuple(n for n, v in enumerate(absolute, start=1) if v >= bar)
+        else:
+            mixed.add(s)
+    for s in sorted(mixed):
+        yield from _sign_pattern_supports(s, ints, bar)
+
+
+def _sign_pattern_supports(
+    s: FiniteSet, ints: Sequence[dict[int, int]], bar: int
+) -> Iterator[FiniteSet]:
+    """The eps-supports of the signed indicators of ``s``, first sign fixed.
+
+    f and -f share a support, so 2^(#s - 1) patterns cover them; more than
+    MAX_SIGN_PATTERNS are refused.
+    """
+    if 2 ** (len(s) - 1) > MAX_SIGN_PATTERNS:
+        raise ValueError(f"sign enumeration over {len(s)} coordinates refused")
+    rows = [[x.get(k, 0) for k in s] for x in ints]
+    for signs in itertools.product((1, -1), repeat=len(s) - 1):
+        theta = (1, *signs)
+        yield tuple(
+            n for n, row in enumerate(rows, start=1)
+            if abs(sum(map(operator.mul, theta, row))) >= bar
+        )
 
 
 def eps_support_family(
@@ -200,16 +236,21 @@ def eps_support_family(
     and every such eps-support lies inside a member, so the largest member
     has :func:`uniform_weak_bound` elements.  The empty set is always present
     (the norming set contains functionals supported away from every x_n).
-    Refused, as the weak bound is, beyond MAX_SIGN_PATTERNS sign patterns.
+    The members come from one trie walk (see :func:`_eps_supports`): the
+    signed and absolute sums of each x_n along a path give its eps-support
+    at once where every x_n keeps one sign, and only a path of mixed signs
+    tries its sign patterns, refused, as the weak bound is, beyond
+    MAX_SIGN_PATTERNS.
     """
-    return Family([(), *_eps_supports(xs, spec.base_family, eps)])
+    return Family._of([(), *_eps_supports(xs, spec.base_family, eps)])
 
 
 def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fraction) -> int:
     """max over functionals f in the norming set of #{n : |f(x_n)| >= eps}.
 
-    The largest eps-support of the scan behind :func:`eps_support_family`,
-    or 0 when there is none; exact, refused beyond MAX_SIGN_PATTERNS.
+    The largest eps-support of the one trie walk behind
+    :func:`eps_support_family`, or 0 when there is none; exact, refused
+    beyond MAX_SIGN_PATTERNS sign patterns on a path of mixed signs.
     """
     return max(map(len, _eps_supports(xs, spec.base_family, eps)), default=0)
 

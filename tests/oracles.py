@@ -12,11 +12,14 @@ oracles below use the ordinal arithmetic, and the linear-program oracle
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
-from schreierkit import OrdinalCNF, fundamental_sequence
+from schreierkit import OrdinalCNF, fundamental_sequence, norms
+from schreierkit.families import finite_set, norming_sets
 from schreierkit.tfamily import digit_keys, f_of_u, point_membership
+from schreierkit.vectors import int_scaled
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
     block_decomposable,
     block_power_brute,
@@ -35,6 +38,33 @@ def all_subsets(window):
 def trace_brute(members, m):
     """The trace {s & M : s in members}, member by member, in lexicographic order."""
     return sorted({tuple(e for e in s if e in m) for s in members})
+
+
+def eps_supports_per_set(xs, family, eps):
+    """The eps-supports {n : |f(x_n)| >= eps} of the norming functionals, set by set.
+
+    One int row per vector over each set of ``norming_sets`` on the union
+    support: the all-plus pattern where every row is sign-definite, else
+    every sign pattern with the first sign fixed, refused beyond
+    ``norms.MAX_SIGN_PATTERNS`` (read at call time).
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    (bar, *flat), scale = int_scaled([eps, *(v for x in xs for _, v in x.items())])
+    coords = iter(flat)
+    ints = [dict(zip(x.support, itertools.islice(coords, len(x)))) for x in xs]
+    for s in norming_sets(family, finite_set({k for x in xs for k in x.support})):
+        rows = [[x.get(k, 0) for k in s] for x in ints]
+        definite = all(min(row) >= 0 or max(row) <= 0 for row in rows)
+        if not definite and 2 ** (len(s) - 1) > norms.MAX_SIGN_PATTERNS:
+            raise ValueError(f"sign enumeration over {len(s)} coordinates refused")
+        for signs in itertools.product((1,) if definite else (1, -1), repeat=len(s) - 1):
+            theta = (1, *signs)
+            yield tuple(
+                n for n, row in enumerate(rows, start=1)
+                if abs(sum(map(operator.mul, theta, row))) >= bar
+            )
 
 
 def schreier_member_direct(s) -> bool:

@@ -26,7 +26,7 @@ from schreierkit import (
     schreier_family,
     trace,
 )
-from schreierkit.families import best_run_sums, maximal_mask, norming_sets
+from schreierkit.families import best_run_sums, maximal_mask, norming_sets, trace_sums
 
 from oracles import all_subsets, block_decomposable, family_norm_brute, trace_brute
 
@@ -163,6 +163,24 @@ def test_hereditary_walks_match_brute_force_and_the_full_walk(sets, m, weights):
     assert trace(closed, m).hereditary_flag is None
     assert restrict(closed, m).hereditary_flag is True
     assert best_set_sum(closed, weights) == best_set_sum(plain, weights)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sets_strategy, st.booleans(),
+       st.dictionaries(st.integers(1, 10), st.tuples(st.integers(-4, 4), st.integers(0, 4)), max_size=6))
+@example([frozenset({1, 5, 6}), frozenset({2, 3}), frozenset({3, 6})], False, {3: (1, 1), 6: (-2, 2)})
+def test_trace_sums_match_member_by_member_sums(sets, closed, columns):
+    f = hereditary_closure(Family(sets)) if closed else Family(sets)
+    width = 2 if columns else 0
+    images = [tuple(e for e in s if e in columns) for s in f if s]
+    want = [(t, tuple(sum(columns[e][j] for e in t) for j in range(width))) for t in images]
+    got = list(trace_sums(f, columns))
+    if closed:
+        # each member inside the support once, in lexicographic order
+        assert got == sorted({p for p in want if p[0]})
+    else:
+        # one pair per nonempty member, repeats and empty images included
+        assert sorted(got) == sorted(want)
 
 
 def test_oplus_order_and_empty_convention():

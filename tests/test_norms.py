@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,17 +22,20 @@ from schreierkit import (
     f_norm,
     hereditary_closure,
     interval,
+    parse_ordinal,
+    schreier_enumerate,
     schreier_family,
     spreading_constant,
     trace,
     uniform_weak_bound,
 )
 
+from schreierkit import norms
 from schreierkit.families import best_run_sums, norming_sets
 from schreierkit.lp import solve_lp
 from schreierkit.norms import float_root
 
-from oracles import block_power_brute, family_norm_brute
+from oracles import block_power_brute, eps_supports_per_set, family_norm_brute
 
 W8 = interval(1, 8)
 S8 = schreier_family(W8)
@@ -314,6 +318,112 @@ def test_weak_bound_and_eps_supports_match_definitions(xs, base, eps):
     assert all(s in supports or s == () for s in got)
     assert all(any(set(t) <= set(s) for s in got) for t in supports)
     assert weak == max(len(s) for s in got)
+
+
+W12 = interval(1, 12)
+S2_12 = schreier_enumerate(parse_ordinal("2"), W12)
+EPS_FAMILIES = [
+    schreier_family(W12),
+    S2_12,
+    schreier_enumerate(parse_ordinal("w"), W12),
+    bounded_cardinality_family(W12, 3),
+]
+
+random_members = st.lists(st.frozensets(st.integers(1, 12), max_size=6), max_size=16)
+family_strategy = st.one_of(
+    st.sampled_from(EPS_FAMILIES),
+    random_members.map(lambda members: hereditary_closure(Family(members))),
+    random_members.map(Family),
+)
+
+
+@st.composite
+def eps_vectors(draw):
+    """0-4 vectors on an 8-wide window at 1..8 up to 7..14, positive or signed."""
+    lo = draw(st.integers(0, 6))
+    value = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    if draw(st.booleans()):
+        value = value.map(abs)
+    coords = st.dictionaries(st.integers(lo + 1, lo + 8), value, max_size=4)
+    return [SparseVector(d) for d in draw(st.lists(coords, max_size=4))]
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ValueError as err:
+        return str(err)
+
+
+MIXED_PAIR = [SparseVector({k: (-1) ** k for k in W12}), SparseVector({k: 1 for k in W12})]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eps_vectors(),
+    family_strategy,
+    st.fractions(min_value=Fraction(1, 100), max_value=4, max_denominator=100),
+    st.sampled_from([2, 2**3, norms.MAX_SIGN_PATTERNS]),
+)
+@example([], S2_12, Fraction(1, 2), norms.MAX_SIGN_PATTERNS)
+@example([SparseVector({1: 1, 3: -2})], Family(), Fraction(1, 2), norms.MAX_SIGN_PATTERNS)
+@example([SparseVector({1: 1, 3: -2})], Family([[]]), Fraction(1, 2), norms.MAX_SIGN_PATTERNS)
+# a support disjoint from every label, and members with labels above the support's maximum
+@example([SparseVector({13: 1, 15: -1})], S2_12, Fraction(1, 2), norms.MAX_SIGN_PATTERNS)
+@example([SparseVector({2: 1, 3: -1, 4: 1})], Family([[2, 3, 4, 9], [3, 4, 11]]), Fraction(1), 2**3)
+@example(MIXED_PAIR, S2_12, Fraction(1, 2), 2**3)
+# two refused traces: the one in the first member is not the first in order
+@example(
+    [x.restrict(range(2, 13)) for x in MIXED_PAIR],
+    Family([[1, 8, 9, 10, 11, 12], [2, 3, 4, 5, 6, 7, 8]]),
+    Fraction(1, 2),
+    2**3,
+)
+def test_eps_supports_match_the_per_set_scan(xs, family, eps, cap):
+    spec = NormingSpec(family)
+    with mock.patch.object(norms, "MAX_SIGN_PATTERNS", cap):
+        got = _outcome(lambda: (eps_support_family(xs, spec, eps), uniform_weak_bound(xs, spec, eps)))
+        want = _outcome(lambda: (
+            Family([(), *eps_supports_per_set(xs, family, eps)]),
+            max(map(len, eps_supports_per_set(xs, family, eps)), default=0),
+        ))
+    assert got == want
+
+
+def test_sign_patterns_refused_on_a_hereditary_family(monkeypatch):
+    # the support-only walk refuses a mixed trace as the per-set scan does,
+    # and never refuses a trace on which every vector is sign-definite
+    monkeypatch.setattr(norms, "MAX_SIGN_PATTERNS", 2**3)
+    s2 = NormingSpec(schreier_enumerate(parse_ordinal("2"), interval(1, 10)))
+    mixed = [x.restrict(range(1, 11)) for x in MIXED_PAIR]
+    with pytest.raises(ValueError) as err:
+        uniform_weak_bound(mixed, s2, Fraction(1, 2))
+    with pytest.raises(ValueError, match=str(err.value)):
+        list(eps_supports_per_set(mixed, s2.base_family, Fraction(1, 2)))
+    with pytest.raises(ValueError, match=str(err.value)):
+        eps_support_family(mixed, s2, Fraction(1, 2))
+    positive = [x.abs() for x in mixed]
+    assert uniform_weak_bound(positive, s2, Fraction(1, 2)) == 2
+    assert eps_support_family(positive, s2, Fraction(3)) == Family(
+        [(), *eps_supports_per_set(positive, s2.base_family, Fraction(3))]
+    )
+
+
+def test_repeated_traces_enumerate_their_sign_patterns_once(monkeypatch):
+    # members in different branches of the trie share the trace {2, 5}
+    members = [(1, 2, 5), (2, 5), (2, 3, 5), (2, 4, 5, 9)] + [(2, 5, k) for k in range(6, 30)]
+    family = Family(members)
+    xs = [SparseVector({2: 1, 5: -1}), SparseVector({2: 1, 5: 1})]
+    calls = []
+    helper = norms._sign_pattern_supports
+
+    def counted(s, *args):
+        calls.append(s)
+        return helper(s, *args)
+
+    monkeypatch.setattr(norms, "_sign_pattern_supports", counted)
+    assert uniform_weak_bound(xs, NormingSpec(family), Fraction(2)) == 1
+    assert calls == [(2, 5)]
 
 
 def test_spreading_constants_exact():
