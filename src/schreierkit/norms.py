@@ -15,7 +15,10 @@ walk per row, not one per run.
 
 Exactness policy: everything is rational; p-th roots are deferred to output
 formatting (:func:`float_root`).  For integer p the p-powered block norm is
-the canonical exact result (see :func:`block_p_norm_power`).  Member scans
+the canonical exact result (see :func:`block_p_norm_power`): its DP sums
+r^p as ints, with every run norm r / scale over one common scale, and builds
+one ``Fraction``, the best sum over scale^p, per call.  Only a non-integer p
+takes floats, and each DP cell divides its two ints once.  Member scans
 (the trie walk, eps-supports and the uniform weak bound) and the spreading
 LP's rows scale their inputs once by the lcm of the denominators
 (:func:`~schreierkit.vectors.int_scaled`) and then add and compare Python
@@ -31,7 +34,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .families import (
     Family,
@@ -47,7 +50,6 @@ from .schreier import OrdinalCNF, schreier_enumerate
 from .vectors import SparseVector, int_scaled
 
 PValue = Union[int, Fraction, float]  # float only for math.inf
-T = TypeVar("T", Fraction, float)
 
 #: sign-pattern enumeration cutoff for the eps-support scan
 MAX_SIGN_PATTERNS = 2**20
@@ -77,34 +79,44 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
     is attained on partitions of the support into consecutive intervals
     (dropping points or leaving gaps never helps, by coordinatewise
     monotonicity of the family norm), so an interval dynamic program over
-    the support positions is exact.  Row i of the DP gets the norms of all
-    runs support[i:j] from one walk of the family trie on the |x_k| scaled
-    to ints once per call, so a support of size m costs m walks, not
-    m(m+1)/2.
+    the support positions is exact.  Every run norm is r / scale with r an
+    int (see :func:`_block_dp`), so the DP adds and compares the ints r^p
+    and the best sum is that int over scale^p: one ``Fraction`` per call,
+    in lowest terms, and no float.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return _block_dp(x, family, lambda v: v**p)
+    total, scale = _block_dp(x, family, lambda r, _: r**p)
+    return Fraction(total, scale**p)
 
 
-def _block_dp(x: SparseVector, family: Family, power: Callable[[Fraction], T]) -> T:
-    # the |x_k| as ints over one common denominator; runs[i][j - i - 1] is
-    # ||x restricted to support[i:j]||_F in those units: the larger of the top
-    # weight and the best member sum on the run, one trie walk per row i
+def _block_dp(
+    x: SparseVector, family: Family, power: Callable[[int, int], Union[int, float]]
+) -> tuple[Union[int, float], int]:
+    """The largest sum of power(r, scale) over cuts of the support into runs.
+
+    The |x_k| are scaled to ints once, over one common denominator
+    ``scale``; r is the family norm of a run support[i:j] in those units:
+    the larger of its top weight and its best member sum.  Row i of the DP
+    gets every run starting at i from one walk of the family trie, so a
+    support of size m costs m walks, not m(m+1)/2.  Each cell is powered
+    once, and the DP adds and compares what ``power`` returns: ints for an
+    integer p, floats for any other.  Returns the total and ``scale``.
+    """
     support = x.support
     ints, scale = int_scaled(v for _, v in x.items())
     weights = list(map(abs, ints))
-    runs = [
-        list(map(max, itertools.accumulate(weights[i:], max),
-                 best_run_sums(family, support, weights, i)))
+    # cells[i][j - i - 1] is power(r, scale) for the run support[i:j]
+    cells = [
+        [power(r, scale) for r in map(max, itertools.accumulate(weights[i:], max),
+                                      best_run_sums(family, support, weights, i))]
         for i in range(len(support))
     ]
-    # best[j]: largest sum of power(||run||_F) over cuts of support[:j] into runs;
-    # best[0] = power(0) is the empty sum in the caller's number type
-    best = [power(Fraction(0))]
+    # best[j]: largest sum over cuts of support[:j]; best[0] is the empty sum
+    best = [power(0, scale)]
     for j in range(1, len(support) + 1):
-        best.append(max(best[i] + power(Fraction(runs[i][j - i - 1], scale)) for i in range(j)))
-    return best[-1]
+        best.append(max(best[i] + cells[i][j - i - 1] for i in range(j)))
+    return best[-1], scale
 
 
 def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fraction, float]:
@@ -112,9 +124,12 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
 
     For other p the exact p-powered value is computed when p is an integer
     (take the root yourself via :func:`block_p_norm_power` if you need it
-    exactly); the returned float is its correctly rounded p-th root.  Rational
-    non-integer p falls back to float arithmetic throughout, and a sum of
-    powers past float range is refused with ValueError.
+    exactly); the returned float is its correctly rounded p-th root.  For
+    rational non-integer p each cell of the DP is (r / scale) ** p in floats,
+    one int division per cell, correctly rounded as ``float(Fraction(r,
+    scale))`` is, even when r and scale are past float range; the DP sums
+    those floats, and a sum of powers past float range is refused with
+    ValueError.
     """
     if _is_inf(p):
         return f_norm(x, family)
@@ -128,7 +143,7 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
         return float_root(power, p.numerator)
     q = float(p)
     try:
-        total = _block_dp(x, family, lambda v: float(v) ** q)
+        total, _ = _block_dp(x, family, lambda r, scale: (r / scale) ** q)
     except OverflowError:
         total = math.inf
     if math.isinf(total):

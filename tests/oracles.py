@@ -7,6 +7,8 @@ The stdlib-only oracles that ``schreierkit verify`` also runs live in
 :mod:`schreierkit.oracles` and are re-exported here; the Schreier membership
 oracles below use the ordinal arithmetic, and the linear-program oracle
 (every vertex visited) serves only the LP tests, so they stay with the tests.
+The one exception is :func:`block_dp_fractions`, the block norm's DP with
+a ``Fraction`` per cell, kept as the reference for its float path.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import random
 from fractions import Fraction
 
 from schreierkit import OrdinalCNF, fundamental_sequence, norms
-from schreierkit.families import finite_set, norming_sets
+from schreierkit.families import best_run_sums, finite_set, norming_sets
 from schreierkit.tfamily import digit_keys, f_of_u, point_membership
 from schreierkit.vectors import int_scaled
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
@@ -65,6 +67,30 @@ def eps_supports_per_set(xs, family, eps):
                 n for n, row in enumerate(rows, start=1)
                 if abs(sum(map(operator.mul, theta, row))) >= bar
             )
+
+
+def block_dp_fractions(x, family, power):
+    """The block norm's interval DP with one ``Fraction`` per cell.
+
+    Each run norm is built as ``Fraction(r, scale)`` and passed to
+    ``power``, so ``lambda v: float(v) ** q`` gives, cell for cell and in
+    the same summation order, the floats that ``norms.baernstein_norm``
+    must reproduce for non-integer p.
+    """
+    support = x.support
+    ints, scale = int_scaled(v for _, v in x.items())
+    weights = list(map(abs, ints))
+    runs = [
+        list(map(max, itertools.accumulate(weights[i:], max),
+                 best_run_sums(family, support, weights, i)))
+        for i in range(len(support))
+    ]
+    # best[j]: largest sum of power(||run||_F) over cuts of support[:j] into runs;
+    # best[0] = power(0) is the empty sum in the caller's number type
+    best = [power(Fraction(0))]
+    for j in range(1, len(support) + 1):
+        best.append(max(best[i] + power(Fraction(runs[i][j - i - 1], scale)) for i in range(j)))
+    return best[-1]
 
 
 def schreier_member_direct(s) -> bool:

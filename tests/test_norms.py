@@ -31,11 +31,11 @@ from schreierkit import (
 )
 
 from schreierkit import norms
-from schreierkit.families import best_run_sums, norming_sets
+from schreierkit.families import best_run_sums, is_hereditary, norming_sets
 from schreierkit.lp import solve_lp
 from schreierkit.norms import float_root
 
-from oracles import block_power_brute, eps_supports_per_set, family_norm_brute
+from oracles import block_dp_fractions, block_power_brute, eps_supports_per_set, family_norm_brute
 
 W8 = interval(1, 8)
 S8 = schreier_family(W8)
@@ -141,6 +141,46 @@ def test_block_norm_non_integer_p_float_path():
     v = baernstein_norm(x, S8, Fraction(3, 2))
     assert isinstance(v, float)
     assert abs(v - 2 ** (2 / 3)) < 1e-9  # two unit blocks: (1 + 1)^(1/p)
+
+
+def float_block_norm_via_fractions(x, family, p):
+    """``baernstein_norm`` at non-integer p, through the Fraction-per-cell oracle DP."""
+    q = float(p)
+    return block_dp_fractions(x, family, lambda v: float(v) ** q) ** (1.0 / q)
+
+
+def test_block_norm_float_path_past_float_range_ints():
+    # scale = 3 * 10^400 and most run ints are past float range; the run norms are not
+    x = SparseVector({3: Fraction(10**400 + 1, 10**400), 5: Fraction(1, 3), 6: Fraction(-7, 10**399)})
+    got = baernstein_norm(x, S8, Fraction(3, 2))
+    assert math.isfinite(got)
+    assert got == float_block_norm_via_fractions(x, S8, Fraction(3, 2))
+
+
+def test_block_norm_float_path_matches_fraction_dp_bit_for_bit():
+    rng = random.Random(2207)
+    other = Family([(1, 2)] + [tuple(sorted(rng.sample(range(1, 11), rng.randint(1, 4)))) for _ in range(6)])
+    assert not is_hereditary(other)
+    for fam, window in ((S8, W8), (other, interval(1, 10))):
+        for _ in range(100):
+            x = rand_vector(rng, window, 7)
+            for p in (Fraction(3, 2), Fraction(5, 3)):
+                assert baernstein_norm(x, fam, p) == float_block_norm_via_fractions(x, fam, p)
+
+
+def test_block_norm_power_is_an_exact_fraction():
+    zero = SparseVector()
+    coprime = SparseVector({2: Fraction(1, 2), 4: Fraction(-2, 3), 7: Fraction(5, 7), 8: Fraction(4, 11)})
+    for fam in (S8, Family(), Family([[]])):
+        for x in (zero, coprime):
+            coords = dict(x.items())
+            for p in (1, 2, 3):
+                got = block_p_norm_power(x, fam, p)
+                assert type(got) is Fraction
+                assert math.gcd(got.numerator, got.denominator) == 1 and got.denominator > 0
+                assert got == block_power_brute(coords, fam.members(), p)
+            # the CLI prints the p = 1 value exactly
+            assert type(baernstein_norm(x, fam, 1)) is Fraction
 
 
 def test_block_dp_matches_bruteforce_all_decompositions():
