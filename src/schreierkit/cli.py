@@ -44,12 +44,20 @@ class InputError(ValueError):
     """User-facing input problem; maps to exit code 2."""
 
 
-def _parse_window(text: str) -> tuple[int, ...]:
+def _parse_window(text: str, limit: Optional[int] = None) -> tuple[int, ...]:
+    """A window "lo..hi" or a set "a,b,c".  With ``limit``, a window of more
+    points is refused before any point is built."""
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return fam.interval(int(lo), int(hi))
-    return _parse_set(text)
+        lo, hi = (int(t) for t in text.split("..", 1))
+        points: Sequence[int] = fam._interval_range(lo, hi)
+        size = hi + 1 - lo  # len() of a range past sys.maxsize raises OverflowError
+    else:
+        points = _parse_set(text)
+        size = len(points)
+    if limit is not None and size > limit:
+        raise InputError(f"window of size {size} exceeds the limit {limit}")
+    return tuple(points)
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -135,7 +143,7 @@ def cmd_schreier(args: argparse.Namespace) -> int:
         return 0
     if args.window is None:
         raise InputError("--window is required for enumeration and inclusion checks")
-    window = _parse_window(args.window)
+    window = _parse_window(args.window, sch.MAX_WINDOW)
     if args.check_inclusion is not None:
         beta = sch.parse_ordinal(args.check_inclusion)
         if not window:

@@ -11,19 +11,20 @@ between threads.
 
 Member sums come from one preorder branch-and-bound walk,
 :func:`best_run_sums`, which gives the best member sum on every run of a
-weighted support at once; :func:`best_set_sum` is its last run.  Sums of
-int columns over every member's trace come from one preorder walk too,
-:func:`trace_sums`, with no row built per set.
+weighted support at once; :func:`best_set_sum` is its last run.  Member
+traces on a support come from one preorder walk too, :func:`trace_sums`,
+which yields each member's trace with int column sums over it and builds no
+row per set; the trace, a hereditary family's restriction and the norming
+sets all read it with empty columns.
 
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
 members inside a support M are the nodes whose path stays in M.  The trace
-and restriction on M, the norming sets and the trace sums then enter only the
-children whose label lies in M, and the member-sum walk only those that carry
-a weight; any other family takes the full walk.  The flag is a checked
-claim: ``Family(sets, hereditary=True)`` refuses sets that are not closed
-under subsets, and only the constructors that build a closed family by
-construction set it unchecked.
+walk then enters only the children whose label lies in M, and the
+member-sum walk only those that carry a weight; any other family takes the
+full walk.  The flag is a checked claim: ``Family(sets, hereditary=True)``
+refuses sets that are not closed under subsets, and only the constructors
+that build a closed family by construction set it unchecked.
 
 Conventions
 -----------
@@ -65,9 +66,16 @@ def finite_set(elements: Iterable[int]) -> FiniteSet:
 
 def interval(lo: int, hi: int) -> FiniteSet:
     """The window {lo, lo+1, ..., hi}."""
+    return tuple(_interval_range(lo, hi))
+
+
+def _interval_range(lo: int, hi: int) -> range:
+    """The window {lo, ..., hi} as a range, once lo >= 1 and hi >= lo - 1
+    (hi = lo - 1 is the empty window).  Its size, stop - start, is known
+    before any element is built."""
     if lo < 1 or hi < lo - 1:
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    return tuple(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _preorder(members: Iterable[FiniteSet]) -> tuple[list[int], list[int], list[int], bytearray]:
@@ -286,83 +294,21 @@ def hereditary_closure(family: Family) -> Family:
 
 
 def trace(family: Family, m: Iterable[int]) -> Family:
-    """The trace {s & M : s in family}, deduplicated.
+    """The trace {s & M : s in family}, deduplicated, with no flag.
 
-    On a hereditary family that is the restriction to M, read by the
-    support-only walk; the result carries no flag either way.
+    The images are those of :func:`trace_sums`, which on a hereditary family
+    enters only the labels in M.
     """
-    mm = finite_set(m)
-    if family.hereditary_flag is True:
-        return Family._from_arrays(*_support_arrays(family, mm))
-    return Family._of(_trace_images(family, set(mm)))
+    return Family._of(_traces(family, finite_set(m)))
 
 
-def _trace_images(family: Family, mset: set[int]) -> set[FiniteSet]:
-    """The set {s & M : s in family}.
-
-    One scan of the preorder arrays keeps the image of the path to each node,
-    indexed by depth: an element of M extends its parent's image, any other
-    element shares it, and a member adds its image to the output.  The cost
-    is one step per trie node.
-    """
-    images: set[FiniteSet] = set()
-    if family._term[0]:
-        images.add(())
-    # path[d] is the image of the last node seen at depth d
-    path: list[FiniteSet] = [()] * (family._height + 1)
-    nodes = zip(family._label, family._depth, family._term)
-    next(nodes)
-    for e, d, t in nodes:
-        image = path[d] = path[d - 1] + (e,) if e in mset else path[d - 1]
-        if t:
-            images.add(image)
-    return images
-
-
-def _support_arrays(
-    family: Family, support: FiniteSet
-) -> tuple[list[int], list[int], list[int], bytearray]:
-    """The preorder arrays of the members of a hereditary ``family`` inside ``support``.
-
-    Every node of a hereditary trie is a member, since its prefix is a
-    subset of one, so these members are the nodes whose path stays in the
-    support.  One preorder scan enters a node whose label lies in the
-    support, jumps past the subtree of any other, and past the parent's
-    remaining children once a label exceeds the support's maximum (siblings
-    ascend).  The nodes entered keep their preorder, so they are appended
-    to the output arrays as they come, and a node's ``end`` is set when a
-    later node at its depth or above is entered.
-    """
-    mset = set(support)
-    top = support[-1] if support else 0
-    label, depth, end = family._label, family._depth, family._end
-    out_label, out_depth, out_end = [0], [0], [0]
-    # parent[d]: the node entered last at depth d; path[d]: its output index
-    parent = [0] * (family._height + 1)
-    path = [0]
-    i, size = 1, len(label)
-    while i < size:
-        e = label[i]
-        d = depth[i]
-        if e in mset:
-            k = len(out_label)
-            for x in path[d:]:
-                out_end[x] = k
-            del path[d:]
-            path.append(k)
-            out_label.append(e)
-            out_depth.append(d)
-            out_end.append(0)
-            parent[d] = i
-            i += 1
-        elif e > top:
-            i = end[parent[d - 1]]
-        else:
-            i = end[i]
-    k = len(out_label)
-    for x in path:
-        out_end[x] = k
-    return out_label, out_depth, out_end, family._term[:1] + b"\x01" * (k - 1)
+def _traces(family: Family, support: FiniteSet) -> Iterator[FiniteSet]:
+    """s & support for each member s: () when the family holds the empty set,
+    then the images :func:`trace_sums` yields with empty columns."""
+    if family.contains_empty:
+        yield ()
+    for s, _ in trace_sums(family, dict.fromkeys(support, ())):
+        yield s
 
 
 def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
@@ -372,8 +318,10 @@ def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
 
     ||x||_F is the largest of these sums for x supported in ``support``; a
     trace member of size <= 1 adds nothing the singletons do not.  The
-    members are read from :func:`trace`, whose preorder is lexicographic."""
-    return [(k,) for k in support] + [s for s in trace(family, support) if len(s) >= 2]
+    members are the images of :func:`trace_sums`, sorted and deduplicated,
+    as an image repeats once per member that has it off a hereditary family.
+    No :class:`Family` is built."""
+    return [(k,) for k in support] + sorted({s for s in _traces(family, support) if len(s) >= 2})
 
 
 def trace_sums(
@@ -387,10 +335,12 @@ def trace_sums(
     One preorder scan keeps, per depth, the image and the sums of the path
     to the node entered there: a label in the support extends its parent's
     by one tuple addition, any other shares them, and a member yields them.
-    So no row is built per set.  On a hereditary family the scan enters
-    only labels in the support and skips as :func:`_support_arrays` does,
-    so it yields each member of the trace once; on any other family it
-    visits every node, and an image repeats once per member that has it.
+    So no row is built per set.  On a hereditary family the scan enters only
+    labels in the support, jumps past the subtree of any other and past the
+    parent's remaining children once a label exceeds the support's maximum
+    (siblings ascend), so it yields each nonempty trace member once, in
+    lexicographic order; on any other family it visits every node, and an
+    image, the empty one too, repeats once per member that has it.
     """
     top = max(columns, default=0)
     zero = (0,) * len(next(iter(columns.values()), ()))
@@ -448,12 +398,13 @@ def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
 def restrict(family: Family, m: Iterable[int]) -> Family:
     """The restriction {s in family : s subset of M}.
 
-    A hereditary family is read by the support-only walk, and so is its
-    restriction, which is hereditary too.
+    A hereditary family's restriction is its trace on M, and hereditary too,
+    so it is read from :func:`trace_sums` like :func:`trace`; any other
+    family is filtered member by member.
     """
     mm = finite_set(m)
     if family.hereditary_flag is True:
-        return Family._from_arrays(*_support_arrays(family, mm), hereditary=True)
+        return Family._of(_traces(family, mm), hereditary=True)
     mset = set(mm)
     return Family._of(
         (s for s in family if mset.issuperset(s)),

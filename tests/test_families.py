@@ -113,6 +113,9 @@ def test_trace_examples():
 def test_trace_matches_member_by_member_definition(sets, m):
     f = Family(sets)
     assert trace(f, m) == Family({tuple(e for e in s if e in m) for s in f})
+    support = tuple(sorted(m))
+    wide = [s for s in trace_brute(f, support) if len(s) >= 2]
+    assert norming_sets(f, support) == [(k,) for k in support] + wide
 
 
 @settings(max_examples=100, deadline=None)

@@ -324,6 +324,28 @@ def test_cli_schreier_error_paths(capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hi", [10**15, 10**20])
+@pytest.mark.parametrize("mode", [[], ["--check-inclusion", "2"]])
+def test_cli_schreier_refuses_a_long_window_before_building_it(mode, hi, capsys):
+    # a window of 10^15 points cannot be allocated, and one of 10^20 has no
+    # len(); the cap must refuse both first
+    assert main(["schreier", "--alpha", "1", *mode, "--window", f"1..{hi}"]) == 2
+    assert f"window of size {hi} exceeds the limit 24" in capsys.readouterr().err
+
+
+def test_cli_schreier_window_refusal_stays_small(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        assert main(["schreier", "--alpha", "1", "--window", "1..1000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
 def test_cli_internal_key_error_is_not_bad_input(monkeypatch):
     # a KeyError inside a command is a bug: it surfaces as a traceback (exit 1), not exit 2
     def broken(args):
