@@ -44,9 +44,9 @@ class InputError(ValueError):
     """User-facing input problem; maps to exit code 2."""
 
 
-def _parse_window(text: str, limit: Optional[int] = None) -> tuple[int, ...]:
-    """A window "lo..hi" or a set "a,b,c".  With ``limit``, a window of more
-    points is refused before any point is built."""
+def _parse_window(text: str, limit: Optional[int] = None) -> Sequence[int]:
+    """A window "lo..hi", as a range that builds no point, or a set "a,b,c".
+    With ``limit``, a window of more points is refused."""
     text = text.strip()
     if ".." in text:
         lo, hi = (int(t) for t in text.split("..", 1))
@@ -57,7 +57,7 @@ def _parse_window(text: str, limit: Optional[int] = None) -> tuple[int, ...]:
         size = len(points)
     if limit is not None and size > limit:
         raise InputError(f"window of size {size} exceeds the limit {limit}")
-    return tuple(points)
+    return points
 
 
 def _parse_set(text: str) -> tuple[int, ...]:
@@ -105,7 +105,11 @@ def cmd_family(args: argparse.Namespace) -> int:
         else:
             if args.window is None:
                 raise InputError("--window is required for otimes")
-            result = fam.otimes(family, other, _parse_window(args.window))
+            window = _parse_window(args.window)
+            # otimes keeps only the blocks inside the window, so it reads the
+            # window at the family's elements alone; `in` on a range builds no point
+            used = {e for s in family for e in s}
+            result = fam.otimes(family, other, [e for e in used if e in window])
     elif op in ("glambda", "gplus", "gdeltamu"):
         if args.measure is None:
             raise InputError(f"--measure is required for {op}")

@@ -9,19 +9,19 @@ a family collect its members and lay the arrays out once.  All operations
 are pure; families are immutable after construction and safe to share
 between threads.
 
-Member sums come from one preorder branch-and-bound walk,
-:func:`best_run_sums`, which gives the best member sum on every run of a
-weighted support at once; :func:`best_set_sum` is its last run.  Member
-traces on a support come from one preorder walk too, :func:`trace_sums`,
-which yields each member's trace with int column sums over it and builds no
-row per set; the trace, a hereditary family's restriction and the norming
-sets all read it with empty columns.
+Run norms come from one preorder branch-and-bound walk, :func:`run_norms`,
+which gives the family norm of every run support[:j] of a weighted support
+at once.  Member traces on a support come from one preorder walk too,
+:func:`trace_sums`, which yields each member's trace with int column sums
+over it and builds no row per set: :func:`best_set_sum` is the largest of
+those sums, and the trace, a hereditary family's restriction and the
+norming sets all read it with empty columns.
 
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
 members inside a support M are the nodes whose path stays in M.  The trace
 walk then enters only the children whose label lies in M, and the
-member-sum walk only those that carry a weight; any other family takes the
+run-norm walk only those that carry a weight; any other family takes the
 full walk.  The flag is a checked claim: ``Family(sets, hereditary=True)``
 refuses sets that are not closed under subsets, and only the constructors
 that build a closed family by construction set it unchecked.
@@ -527,31 +527,35 @@ def find_uniform_trace(
 
 
 def best_set_sum(family: Family, weights: Mapping[int, Rational]) -> Fraction:
-    """max over members s of sum(weights[e] for e in s), weights >= 0.
+    """max over members s of sum(weights[e] for e in s), for weights of any sign.
 
-    The last run of :func:`best_run_sums`: the weights are scaled once by
-    the lcm of their denominators, so the walk adds and compares Python ints,
-    and the result is the best sum on the whole support over that lcm, still
-    exact, with no float anywhere.  Elements without a weight count as zero.
+    The weights are scaled once by the lcm of their denominators, and the
+    sums are the one-column sums that :func:`trace_sums` yields for every
+    nonempty member, so the walk adds and compares Python ints and the
+    result, over that lcm, is exact with no float anywhere.  The empty set,
+    when it is a member, adds the sum 0; a family with no member gives 0.
+    Elements without a weight count as zero.
     """
     support = sorted(weights)
     ints, scale = int_scaled([weights[e] for e in support])
-    runs = best_run_sums(family, support, ints, 0)
-    return Fraction(runs[-1] if runs else 0, scale)
+    # with no weights the columns are empty, and sum(()) is each member's 0
+    sums = [sum(c) for _, c in trace_sums(family, {e: (w,) for e, w in zip(support, ints)})]
+    if family.contains_empty:
+        sums.append(0)
+    return Fraction(max(sums, default=0), scale)
 
 
-def best_run_sums(
-    family: Family, support: Sequence[int], weights: Sequence[int], start: int
-) -> list[int]:
-    """Best member sums on every run support[start:j], j = start+1..len(support).
+def run_norms(family: Family, support: Sequence[int], weights: Sequence[int]) -> list[int]:
+    """The family norm of every run support[:j], j = 1..len(support).
 
     ``weights[q] >= 0`` is the int weight at ``support[q]`` (increasing);
-    entry j - start - 1 of the result is best[j], the max over members s of
-    the weight s puts on support[start:j].  One preorder scan of the trie
-    serves every run end, for one row of the block DP.  It keeps, per depth,
-    the running sum over support[start:] of the node entered there, records
-    each entered node's sum at its last counted position r in ``at[r]``, and
-    returns the prefix max of ``at``: best[j] is the max of at[start..j-1].
+    entry j - 1 of the result is best[j], the larger of the top weight on
+    support[:j] and the max over members s of the weight s puts there, in
+    the weights' int units.  One preorder scan of the trie serves every run
+    end, for one row of the block DP.  It keeps, per depth, the running sum
+    of the node entered there, records each entered node's sum at its last
+    counted position r in ``at``, which starts as a copy of the weights (the
+    singletons), and returns the prefix max of ``at``.
 
     Recording every entered node is exact.  Every trie node lies on a
     member's path and weights are nonnegative, so a sum recorded at r is
@@ -561,28 +565,30 @@ def best_run_sums(
     scan enters and records that prefix unless a cut passes it.
 
     A node is cut, with its later siblings, when its parent's sum plus the
-    weight at positions q..m-1 is at most ``top``, the largest sum recorded
-    so far; q is the first position with support[q] >= its label, and later
-    siblings have larger labels.  Testing against ``top`` alone is exact:
-    top is the sum of an entered path, and that path's part before any run
-    end j is recorded at a position below j, so best[j] >= top - (weight at
-    positions j..m-1).  That bounds every sum a cut subtree puts on
-    support[start:j] for j > q; for j <= q it adds nothing to its parent's.
-    The parent's sum never exceeds ``top``, so a node past the support's
-    maximum is always cut.
+    weight at positions q..m-1 is at most ``top``; q is the first position
+    with support[q] >= its label, and later siblings have larger labels.
+    ``top`` starts as the largest weight w_p and is raised to each larger
+    sum recorded.  Testing against ``top`` alone is exact because best[j]
+    >= top - ahead[j] for every run end j, where ahead[j] is the weight at
+    positions j..m-1.  If top is the sum of an entered path, that path's
+    part before j is recorded below j.  If top is w_p, either p < j and the
+    run holds it, or p >= j and top <= ahead[j].  That bounds every sum a
+    cut subtree puts on support[:j] for j > q; for j <= q it adds nothing
+    to its parent's.  The parent's sum never exceeds ``top``, so a node past
+    the support's maximum is always cut.
 
-    On a hereditary family a node that carries no weight (off
-    support[start:], or of weight 0) is not entered at all: for any member s,
-    its part that carries weight is a member that puts the same weight on
-    every run, reached along a path that never leaves it.
+    On a hereditary family a node that carries no weight (off the support,
+    or of weight 0) is not entered at all: for any member s, its part that
+    carries weight is a member that puts the same weight on every run,
+    reached along a path that never leaves it.
     """
     m = len(support)
     # ahead[q] = total weight at positions q..m-1
     ahead = [0] * (m + 1)
-    for q in range(m - 1, start - 1, -1):
+    for q in range(m - 1, -1, -1):
         ahead[q] = ahead[q + 1] + weights[q]
-    at = [0] * m
-    top = 0
+    at = list(weights)
+    top = max(at, default=0)
     label, depth, end = family._label, family._depth, family._end
     bisect_left = bisect.bisect_left
     hereditary = family.hereditary_flag is True
@@ -594,7 +600,7 @@ def best_run_sums(
         d = depth[i]
         e = label[i]
         a = acc[d - 1]
-        r = bisect_left(support, e, start)
+        r = bisect_left(support, e)
         if a + ahead[r] <= top:
             i = end[parent[d - 1]]
             continue
@@ -611,7 +617,7 @@ def best_run_sums(
         acc[d] = a
         parent[d] = i
         i += 1
-    return list(itertools.accumulate(at[start:], max))
+    return list(itertools.accumulate(at, max))
 
 
 class PartitionMeasure:

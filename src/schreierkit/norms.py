@@ -7,11 +7,11 @@ The central object is the family norm
 computed exactly in rationals by branch-and-bound on the family trie.  The
 block-aggregated (Baernstein-style) norm, epsilon-support families, uniform
 weak bounds, spreading-model constants (via exact LP) and Cesaro profiles
-are all derived from it.  Both norms take member sums from one trie walk,
-:func:`~schreierkit.families.best_run_sums`, which gives the best sum on
-every run support[i:j] of a row i at once: ``f_norm`` reads the last run of
-row 0, and the block norm's interval DP reads every run of every row, one
-walk per row, not one per run.
+are all derived from it.  Both norms take run norms from one trie walk,
+:func:`~schreierkit.families.run_norms`, which gives the norm of every run
+support[i:j] of a row i at once, the sup-norm included: ``f_norm`` reads
+the last run of row 0, and the block norm's interval DP reads every run of
+every row, one walk per row, not one per run.
 
 Exactness policy: everything is rational; p-th roots are deferred to output
 formatting (:func:`float_root`).  For integer p the p-powered block norm is
@@ -39,10 +39,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 from .families import (
     Family,
     FiniteSet,
-    best_run_sums,
     finite_set,
     maximal_mask,
     norming_sets,
+    run_norms,
     trace_sums,
 )
 from .lp import LPCertificateError, LPResult, solve_lp
@@ -62,14 +62,13 @@ def _is_inf(p: PValue) -> bool:
 def f_norm(x: SparseVector, family: Family) -> Fraction:
     """The family norm of x: max of sup-norm and best member sum of |x|.
 
-    The |x_k| are scaled to ints once; the best member sum is the last run of
-    :func:`~schreierkit.families.best_run_sums` on the whole support, and the
-    sup-norm is the largest of the same ints.
+    The |x_k| are scaled to ints once; the norm is the last run of
+    :func:`~schreierkit.families.run_norms` on the whole support, over the
+    common scale.
     """
     ints, scale = int_scaled(v for _, v in x.items())
-    weights = list(map(abs, ints))
-    runs = best_run_sums(family, x.support, weights, 0)
-    return Fraction(max(weights + runs, default=0), scale)
+    runs = run_norms(family, x.support, list(map(abs, ints)))
+    return Fraction(runs[-1] if runs else 0, scale)
 
 
 def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
@@ -96,10 +95,10 @@ def _block_dp(
     """The largest sum of power(r, scale) over cuts of the support into runs.
 
     The |x_k| are scaled to ints once, over one common denominator
-    ``scale``; r is the family norm of a run support[i:j] in those units:
-    the larger of its top weight and its best member sum.  Row i of the DP
-    gets every run starting at i from one walk of the family trie, so a
-    support of size m costs m walks, not m(m+1)/2.  Each cell is powered
+    ``scale``; r is the family norm of a run support[i:j] in those units.
+    Row i of the DP is :func:`~schreierkit.families.run_norms` on
+    support[i:], every run starting at i from one walk of the family trie,
+    so a support of size m costs m walks, not m(m+1)/2.  Each cell is powered
     once, and the DP adds and compares what ``power`` returns: ints for an
     integer p, floats for any other.  Returns the total and ``scale``.
     """
@@ -108,8 +107,7 @@ def _block_dp(
     weights = list(map(abs, ints))
     # cells[i][j - i - 1] is power(r, scale) for the run support[i:j]
     cells = [
-        [power(r, scale) for r in map(max, itertools.accumulate(weights[i:], max),
-                                      best_run_sums(family, support, weights, i))]
+        [power(r, scale) for r in run_norms(family, support[i:], weights[i:])]
         for i in range(len(support))
     ]
     # best[j]: largest sum over cuts of support[:j]; best[0] is the empty sum

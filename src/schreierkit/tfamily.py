@@ -29,9 +29,9 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .families import Family, FiniteSet, best_set_sum, finite_set
+from .families import FiniteSet, finite_set
 from .schreier import barrier_member
-from .vectors import SparseVector
+from .vectors import SparseVector, int_scaled
 
 DigitKey = tuple[int, int, int, int]  # (m, l, i, j) with 2 <= i < j <= m-1, 1 <= l <= n
 
@@ -504,19 +504,19 @@ def transversal_norms(
     """Exact family norms of sum a_i e_{pt_i}, one per coefficient row a.
 
     The member sums are, for each window barrier set u, the sum of |a_i|
-    over the points lying in F(u), and the sup part is max |a_i|.  They are
-    the weights of the points' trace family, which one scan of the window
-    builds for every row, so ``best_set_sum`` on it gives their maximum; a
-    point with a_i = 0 carries no weight.
+    over the points lying in F(u), and the sup part is max |a_i|.  Only the
+    distinct point traces matter, and one scan of the window gives them for
+    every row; each row is scaled to ints once, and its sums are taken over
+    those traces directly.
     """
     if any(len(coeffs) != len(pts) for coeffs in rows):
         raise ValueError("one coefficient per point required")
-    traces = Family(_point_traces(pts, params))
+    traces = list(_point_traces(pts, params))
     out = []
     for coeffs in rows:
-        coeffs = [abs(Fraction(c)) for c in coeffs]
-        weights = {i: a for i, a in enumerate(coeffs, 1) if a}
-        out.append(max(max(coeffs, default=Fraction(0)), best_set_sum(traces, weights)))
+        ints, scale = int_scaled(abs(Fraction(c)) for c in coeffs)
+        sums = (sum(ints[i - 1] for i in t) for t in traces)
+        out.append(Fraction(max(max(ints, default=0), max(sums, default=0)), scale))
     return out
 
 

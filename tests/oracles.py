@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from schreierkit import OrdinalCNF, fundamental_sequence, norms
-from schreierkit.families import best_run_sums, finite_set, norming_sets
+from schreierkit.families import finite_set, norming_sets, run_norms
 from schreierkit.tfamily import digit_keys, f_of_u, point_membership
 from schreierkit.vectors import int_scaled
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
@@ -80,11 +80,7 @@ def block_dp_fractions(x, family, power):
     support = x.support
     ints, scale = int_scaled(v for _, v in x.items())
     weights = list(map(abs, ints))
-    runs = [
-        list(map(max, itertools.accumulate(weights[i:], max),
-                 best_run_sums(family, support, weights, i)))
-        for i in range(len(support))
-    ]
+    runs = [run_norms(family, support[i:], weights[i:]) for i in range(len(support))]
     # best[j]: largest sum of power(||run||_F) over cuts of support[:j] into runs;
     # best[0] = power(0) is the empty sum in the caller's number type
     best = [power(Fraction(0))]

@@ -26,7 +26,7 @@ from schreierkit import (
     schreier_family,
     trace,
 )
-from schreierkit.families import best_run_sums, maximal_mask, norming_sets, trace_sums
+from schreierkit.families import maximal_mask, norming_sets, run_norms, trace_sums
 
 from oracles import all_subsets, block_decomposable, family_norm_brute, trace_brute
 
@@ -314,6 +314,36 @@ def test_best_set_sum_matches_scan():
         assert max(sup, got) == family_norm_brute(fml.members(), weights)
 
 
+def test_best_set_sum_is_the_member_maximum_for_every_sign():
+    def brute(fml, weights):
+        sums = [sum((weights.get(k, Fraction(0)) for k in s), Fraction(0)) for s in fml]
+        return max(sums, default=Fraction(0))
+
+    rng = random.Random(24)
+    drawn = []
+    for _ in range(60):
+        sets = [rng.sample(range(1, 13), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
+        sets += [[]] * rng.randint(0, 1)
+        fml = Family(sets)
+        for f in (fml, hereditary_closure(fml)):
+            ks = rng.sample(range(1, 15), rng.randint(1, 6))
+            drawn.append((f, {k: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for k in ks}))
+    fixed = [
+        (Family([[2, 5, 6], [3, 6, 8], [3, 7, 11], [10]]),
+         {8: -1, 3: Fraction(1, 7), 1: 4, 5: Fraction(1, 3)}, Fraction(1, 3)),
+        (schreier_family(interval(1, 12)),
+         {5: -6, 6: Fraction(-1, 6), 9: Fraction(2, 7), 1: Fraction(-5, 4), 8: Fraction(-3, 2)},
+         Fraction(2, 7)),
+        (Family([[1], [2]]), {1: -1, 2: -2}, Fraction(-1)),
+        (Family(), {1: -1, 2: 3}, Fraction(0)),
+    ]
+    for fml, weights, want in fixed:
+        assert brute(fml, weights) == want
+    for fml, weights in drawn + [(f, w) for f, w, _ in fixed]:
+        got = best_set_sum(fml, weights)
+        assert got == brute(fml, weights) and type(got) is Fraction
+
+
 def test_partition_measure_validation():
     with pytest.raises(ValueError):
         PartitionMeasure([[1, 2], [2, 3]])
@@ -466,14 +496,10 @@ def test_family_operations_match_set_oracle(sets, other, with_empty, rnd, m, wei
     ws = [weights[e] for e in support]
     for start in range(len(support)):
         want = [
-            max((sum(ws[q] for q in range(start, j) if support[q] in s) for s in oracle), default=0)
+            family_norm_brute(oracle, {support[q]: ws[q] for q in range(start, j)})
             for j in range(start + 1, len(support) + 1)
         ]
-        got = best_run_sums(f, support, ws, start)
-        assert got == want
-        for j, total in enumerate(got, start=start + 1):
-            run = {support[q]: ws[q] for q in range(start, j)}
-            assert max(max(ws[start:j]), total) == family_norm_brute(oracle, run)
+        assert run_norms(f, support[start:], ws[start:]) == want
 
     measure = PartitionMeasure.uniform(PIECES)
     piece = {e: n for n, p in enumerate(PIECES, start=1) for e in p}

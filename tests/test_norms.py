@@ -31,7 +31,7 @@ from schreierkit import (
 )
 
 from schreierkit import norms
-from schreierkit.families import best_run_sums, is_hereditary, norming_sets
+from schreierkit.families import is_hereditary, norming_sets, run_norms
 from schreierkit.lp import solve_lp
 from schreierkit.norms import float_root
 
@@ -222,11 +222,11 @@ def test_block_rows_match_segment_norms(members, coords, zeroed):
     for fam in (Family(members), hereditary_closure(Family(members))):
         for ws in (weights, [0 if q in zeroed else w for q, w in enumerate(weights)]):
             for i in range(len(support)):
-                row = best_run_sums(fam, support, ws, i)
+                row = run_norms(fam, support[i:], ws[i:])
                 assert len(row) == len(support) - i
                 for j, total in enumerate(row, start=i + 1):
                     segment = {support[q]: Fraction(ws[q], scale) for q in range(i, j)}
-                    got = Fraction(max(max(ws[i:j]), total), scale)
+                    got = Fraction(total, scale)
                     assert got == family_norm_brute(fam.members(), segment), (i, j)
         for p in (1, 2, 3):
             assert block_p_norm_power(x, fam, p) == block_power_brute(coords, fam.members(), p)

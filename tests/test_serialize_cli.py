@@ -315,6 +315,20 @@ def test_cli_family_otimes_and_gdeltamu(tmp_path, capsys):
     assert [1, 2] in obj["sets"] and [] in obj["sets"]
 
 
+def test_cli_family_otimes_reads_a_long_window_only_where_the_family_is(tmp_path, capsys):
+    # a span of 10^15 points cannot be allocated and one of 10^20 has no len(),
+    # but otimes only keeps the blocks inside the window
+    f = write(tmp_path, "f.json", {"sets": [[1], [2], [1, 2], [3]], "hereditary": None})
+    g = write(tmp_path, "g.json", {"sets": [[], [1], [2], [3], [1, 3]], "hereditary": None})
+    outs = []
+    for hi in (8, 10**15, 10**20):
+        assert main(["family", "--op", "otimes", "--input", f, "--other", g,
+                     "--window", f"1..{hi}"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+    assert json.loads(outs[0])["sets"] == [[], [1], [1, 2], [1, 2, 3], [1, 3], [2], [3]]
+
+
 def test_cli_schreier_error_paths(capsys):
     assert main(["schreier", "--alpha", "1", "--barrier", ""]) == 2
     assert main(["schreier", "--alpha", "1"]) == 2  # nothing to do without a window

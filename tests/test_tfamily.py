@@ -343,3 +343,10 @@ def test_transversal_queries_match_barrier_scans():
             assert transversal_norms(sub, rows, params) == [
                 want, transversal_norm_scan(sub, rows[1], params), 0]
     assert checked > 50  # the covered lists are not all empty
+    # on window 2 the only barrier set is {1}: a point of I_2 lies in no F(u),
+    # so its coefficient counts through the sup part alone
+    p2 = TParams.build(HALF, 2)
+    pts = [sample_point(1, p2, 5), sample_point(2, p2, 6)]
+    rows = [[1, 3], [Fraction(5, 2), 0]]
+    want = [transversal_norm_scan(pts, row, p2) for row in rows]
+    assert transversal_norms(pts, rows, p2) == want == [3, Fraction(5, 2)]
