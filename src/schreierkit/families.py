@@ -42,7 +42,7 @@ import bisect
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .vectors import Rational, int_scaled
 
@@ -326,7 +326,7 @@ def norming_sets(family: Family, support: FiniteSet) -> list[FiniteSet]:
 
 def trace_sums(
     family: Family, columns: Mapping[int, tuple[int, ...]]
-) -> Iterator[tuple[FiniteSet, tuple[int, ...]]]:
+) -> Generator[tuple[FiniteSet, tuple[int, ...]], Optional[bool], None]:
     """Each nonempty member's trace on the support, with the column sums over it.
 
     The support is the set of keys of ``columns``, whose values are tuples
@@ -341,6 +341,13 @@ def trace_sums(
     (siblings ascend), so it yields each nonempty trace member once, in
     lexicographic order; on any other family it visits every node, and an
     image, the empty one too, repeats once per member that has it.
+
+    A caller that drives the walk with ``send`` may skip subtrees: a true
+    value sent after a member is yielded jumps past that member's subtree,
+    so none of its strict supersets in the trie is visited.  Every member
+    there extends the member by labels above its largest, so its trace is
+    the yielded image plus some support labels above the image's last.
+    A plain ``for`` loop sends ``None`` and walks every node.
     """
     top = max(columns, default=0)
     zero = (0,) * len(next(iter(columns.values()), ()))
@@ -368,8 +375,9 @@ def trace_sums(
         else:
             i = end[i]
             continue
-        if term[i]:
-            yield images[d], sums[d]
+        if term[i] and (yield images[d], sums[d]):
+            i = end[i]
+            continue
         parent[d] = i
         i += 1
 

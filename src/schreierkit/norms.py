@@ -17,7 +17,8 @@ Exactness policy: everything is rational; p-th roots are deferred to output
 formatting (:func:`float_root`).  For integer p the p-powered block norm is
 the canonical exact result (see :func:`block_p_norm_power`): its DP sums
 r^p as ints, with every run norm r / scale over one common scale, and builds
-one ``Fraction``, the best sum over scale^p, per call.  Only a non-integer p
+one ``Fraction``, the best sum over scale^p, per call; a p whose powers
+could pass MAX_POWER_BITS is refused up front.  Only a non-integer p
 takes floats, and each DP cell divides its two ints once.  Member scans
 (the trie walk, eps-supports and the uniform weak bound) and the spreading
 LP's rows scale their inputs once by the lcm of the denominators
@@ -25,7 +26,10 @@ LP's rows scale their inputs once by the lcm of the denominators
 ints; this is still exact and uses no floats.  The eps-supports take one
 walk per call, :func:`~schreierkit.families.trace_sums`, which keeps every
 vector's signed and absolute sum along each path of the trie; only a path
-on which some vector changes sign falls back to its sign patterns.
+on which some vector changes sign falls back to its sign patterns.  The
+eps-support family reads every trace; the uniform weak bound needs only
+the largest support, so it prunes the same walk by branch-and-bound and
+skips every subtree that cannot beat the best support found so far.
 """
 
 from __future__ import annotations
@@ -54,6 +58,11 @@ PValue = Union[int, Fraction, float]  # float only for math.inf
 #: sign-pattern enumeration cutoff for the eps-support scan
 MAX_SIGN_PATTERNS = 2**20
 
+#: size cap, in bits, on the exact powers of :func:`block_p_norm_power`:
+#: p times the bit length of the larger of the |x_k| sum and the common
+#: scale, both in int units, bounds every r^p, their sums and scale^p
+MAX_POWER_BITS = 2**20
+
 
 def _is_inf(p: PValue) -> bool:
     return isinstance(p, float) and math.isinf(p)
@@ -81,40 +90,45 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
     the support positions is exact.  Every run norm is r / scale with r an
     int (see :func:`_block_dp`), so the DP adds and compares the ints r^p
     and the best sum is that int over scale^p: one ``Fraction`` per call,
-    in lowest terms, and no float.
+    in lowest terms, and no float.  Every r is at most the l1 sum of the
+    ints, so a p whose powers could pass MAX_POWER_BITS is refused with
+    ValueError before any is built.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    total, scale = _block_dp(x, family, lambda r, _: r**p)
-    return Fraction(total, scale**p)
+    ints, scale = int_scaled(v for _, v in x.items())
+    weights = list(map(abs, ints))
+    if p * max(sum(weights), scale).bit_length() > MAX_POWER_BITS:
+        raise ValueError(f"p is too large: the exact power would pass {MAX_POWER_BITS} bits")
+    return Fraction(_block_dp(x.support, weights, family, lambda r: r**p), scale**p)
 
 
 def _block_dp(
-    x: SparseVector, family: Family, power: Callable[[int, int], Union[int, float]]
-) -> tuple[Union[int, float], int]:
-    """The largest sum of power(r, scale) over cuts of the support into runs.
+    support: Sequence[int],
+    weights: Sequence[int],
+    family: Family,
+    power: Callable[[int], Union[int, float]],
+) -> Union[int, float]:
+    """The largest sum of power(r) over cuts of the support into runs.
 
-    The |x_k| are scaled to ints once, over one common denominator
-    ``scale``; r is the family norm of a run support[i:j] in those units.
+    ``weights`` are the |x_k| at ``support`` scaled to ints over one common
+    scale; r is the family norm of a run support[i:j] in those units.
     Row i of the DP is :func:`~schreierkit.families.run_norms` on
     support[i:], every run starting at i from one walk of the family trie,
     so a support of size m costs m walks, not m(m+1)/2.  Each cell is powered
     once, and the DP adds and compares what ``power`` returns: ints for an
-    integer p, floats for any other.  Returns the total and ``scale``.
+    integer p, floats for any other.
     """
-    support = x.support
-    ints, scale = int_scaled(v for _, v in x.items())
-    weights = list(map(abs, ints))
-    # cells[i][j - i - 1] is power(r, scale) for the run support[i:j]
+    # cells[i][j - i - 1] is power(r) for the run support[i:j]
     cells = [
-        [power(r, scale) for r in run_norms(family, support[i:], weights[i:])]
+        [power(r) for r in run_norms(family, support[i:], weights[i:])]
         for i in range(len(support))
     ]
     # best[j]: largest sum over cuts of support[:j]; best[0] is the empty sum
-    best = [power(0, scale)]
+    best = [power(0)]
     for j in range(1, len(support) + 1):
         best.append(max(best[i] + cells[i][j - i - 1] for i in range(j)))
-    return best[-1], scale
+    return best[-1]
 
 
 def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fraction, float]:
@@ -140,8 +154,9 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
             return power
         return float_root(power, p.numerator)
     q = float(p)
+    ints, scale = int_scaled(v for _, v in x.items())
     try:
-        total, _ = _block_dp(x, family, lambda r, scale: (r / scale) ** q)
+        total = _block_dp(x.support, list(map(abs, ints)), family, lambda r: (r / scale) ** q)
     except OverflowError:
         total = math.inf
     if math.isinf(total):
@@ -178,6 +193,36 @@ class NormingSpec(NamedTuple):
     base_family: Family
 
 
+def _int_columns(
+    xs: Sequence[SparseVector], eps: Fraction
+) -> tuple[int, list[dict[int, int]], dict[int, tuple[int, ...]]]:
+    """eps and the x_n scaled to ints by one common lcm, and the trie columns.
+
+    Returns ``bar`` (eps in int units), each x_n as an int map, and the
+    column at each label k of the union support, in ascending order: every
+    x_n(k), then every |x_n(k)|, so the column sums over a set hold each
+    x_n's signed and absolute sum over it.
+    """
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    (bar, *flat), scale = int_scaled([eps, *(v for x in xs for _, v in x.items())])
+    coords = iter(flat)
+    ints = [dict(zip(x.support, itertools.islice(coords, len(x)))) for x in xs]
+    columns: dict[int, tuple[int, ...]] = {}
+    for k in finite_set({k for x in xs for k in x.support}):
+        signed = [x.get(k, 0) for x in ints]
+        columns[k] = (*signed, *map(abs, signed))
+    return bar, ints, columns
+
+
+def _definite(sums: tuple[int, ...], n_xs: int) -> bool:
+    """Whether every x_n keeps one sign on a set, from its column sums."""
+    signed, absolute = sums[:n_xs], sums[n_xs:]
+    # the tuples are equal when all sums are >= 0
+    return signed == absolute or tuple(map(abs, signed)) == absolute
+
+
 def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> Iterator[FiniteSet]:
     """The eps-supports {n : |f(x_n)| >= eps} of the norming functionals.
 
@@ -193,28 +238,16 @@ def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> 
     that many members share is tried once, and they are tried in
     lexicographic order, so a refusal names the first refused trace of
     :func:`~schreierkit.families.norming_sets`.  Inputs are scaled to ints
-    once by the common lcm.
+    once by the common lcm (:func:`_int_columns`).
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    (bar, *flat), scale = int_scaled([eps, *(v for x in xs for _, v in x.items())])
-    coords = iter(flat)
-    ints = [dict(zip(x.support, itertools.islice(coords, len(x)))) for x in xs]
-    # the column at k: every x_n(k), then every |x_n(k)|, as ints
-    columns: dict[int, tuple[int, ...]] = {}
-    for k in finite_set({k for x in xs for k in x.support}):
-        signed = [x.get(k, 0) for x in ints]
-        columns[k] = (*signed, *map(abs, signed))
+    bar, ints, columns = _int_columns(xs, eps)
     n_xs = len(xs)
     for col in columns.values():
         yield tuple(n for n, v in enumerate(col[n_xs:], start=1) if v >= bar)
     mixed: set[FiniteSet] = set()
     for s, sums in trace_sums(family, columns):
-        signed, absolute = sums[:n_xs], sums[n_xs:]
-        # sign-definite for every x_n; the tuples are equal when all sums are >= 0
-        if signed == absolute or tuple(map(abs, signed)) == absolute:
-            yield tuple(n for n, v in enumerate(absolute, start=1) if v >= bar)
+        if _definite(sums, n_xs):
+            yield tuple(n for n, v in enumerate(sums[n_xs:], start=1) if v >= bar)
         else:
             mixed.add(s)
     for s in sorted(mixed):
@@ -261,11 +294,55 @@ def eps_support_family(
 def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fraction) -> int:
     """max over functionals f in the norming set of #{n : |f(x_n)| >= eps}.
 
-    The largest eps-support of the one trie walk behind
-    :func:`eps_support_family`, or 0 when there is none; exact, refused
-    beyond MAX_SIGN_PATTERNS sign patterns on a path of mixed signs.
+    The largest eps-support of :func:`eps_support_family`, or 0 when there
+    is none, by branch-and-bound on the same trie walk: ``best`` starts at
+    the singletons' largest eps-support and grows at each sign-definite
+    trace.  At a trace s with last label e, every functional in the
+    subtree of s is supported in s plus support labels above e, so
+    |f(x_n)| is at most abs_n(s) + ahead_n(e), the absolute sums over s
+    and over the labels above e.  When at most ``best`` of the x_n reach
+    eps that way, no sign pattern on any extension beats ``best`` and the
+    subtree is skipped (see :func:`~schreierkit.families.trace_sums`).
+    The skip is taken only when the subtree's traces, at most len(s) plus
+    the count of labels above e, all fit the sign-pattern cap
+    MAX_SIGN_PATTERNS (read at call time), so every refused mixed trace is
+    still found and refused as :func:`eps_support_family` refuses it.  The
+    mixed traces are tried in lexicographic order after the walk, each
+    only when its absolute sums reach eps on more than ``best`` vectors:
+    every pattern's eps-support lies in that set.  Exact.
     """
-    return max(map(len, _eps_supports(xs, spec.base_family, eps)), default=0)
+    bar, ints, columns = _int_columns(xs, eps)
+    n_xs = len(xs)
+    fits = MAX_SIGN_PATTERNS.bit_length()  # the largest size with 2^(size-1) patterns in the cap
+    # cut[e]: bar less each x_n's absolute sum over the labels above e, and
+    # their count; e = 0 stands before every label (indices are >= 1)
+    cut: dict[int, tuple[tuple[int, ...], int]] = {}
+    ahead, rest = (0,) * n_xs, 0
+    for k in reversed(columns):
+        cut[k] = (tuple(bar - a for a in ahead), rest)
+        ahead, rest = tuple(map(operator.add, ahead, columns[k][n_xs:])), rest + 1
+    cut[0] = (tuple(bar - a for a in ahead), rest)
+    best = max((sum(map(bar.__le__, col[n_xs:])) for col in columns.values()), default=0)
+    mixed: dict[FiniteSet, int] = {}
+    walk = trace_sums(spec.base_family, columns)
+    skip = None
+    while True:
+        try:
+            s, sums = walk.send(skip)
+        except StopIteration:
+            break
+        absolute = sums[n_xs:]
+        count = sum(map(bar.__le__, absolute))
+        if _definite(sums, n_xs):
+            best = max(best, count)
+        else:
+            mixed[s] = count
+        need, rest = cut[s[-1] if s else 0]
+        skip = len(s) + rest <= fits and sum(map(operator.ge, absolute, need)) <= best
+    for s in sorted(mixed):
+        if len(s) > fits or mixed[s] > best:
+            best = max(best, *map(len, _sign_pattern_supports(s, ints, bar)))
+    return best
 
 
 class SpreadingResult(NamedTuple):

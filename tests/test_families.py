@@ -186,6 +186,33 @@ def test_trace_sums_match_member_by_member_sums(sets, closed, columns):
         assert sorted(got) == sorted(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sets_strategy, st.booleans(), st.frozensets(st.integers(1, 10), max_size=6), st.integers(1, 3))
+@example([frozenset({1, 2, 3}), frozenset({1, 4})], True, frozenset({1, 2, 3}), 1)
+def test_trace_sums_skips_the_subtree_of_a_member_sent_true(sets, closed, support, k):
+    # a true value sent after a member skips every member that extends it:
+    # the walk yields, in preorder, the members with no skipped proper prefix
+    f = hereditary_closure(Family(sets)) if closed else Family(sets)
+    columns = {e: (e, 1) for e in support}
+    width = 2 if columns else 0
+    members = [s for s in f if s and not (closed and set(s) - support)]
+    skipped = [s for s in members if len([e for e in s if e in support]) >= k]
+    want = []
+    for s in members:
+        if not any(len(p) < len(s) and s[: len(p)] == p for p in skipped):
+            t = tuple(e for e in s if e in support)
+            want.append((t, (sum(t), len(t))[:width]))
+    walk, got, skip = trace_sums(f, columns), [], None
+    while True:
+        try:
+            t, sums = walk.send(skip)
+        except StopIteration:
+            break
+        got.append((t, sums))
+        skip = len(t) >= k
+    assert got == want
+
+
 def test_oplus_order_and_empty_convention():
     assert oplus(Family([[5]]), Family([[1, 2]])) == Family([[1, 2, 5]])
     assert oplus(Family([[1]]), Family([[2]])) == Family([])

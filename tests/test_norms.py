@@ -39,6 +39,7 @@ from oracles import block_dp_fractions, block_power_brute, eps_supports_per_set,
 
 W8 = interval(1, 8)
 S8 = schreier_family(W8)
+S5 = schreier_family(interval(1, 5))
 
 coords_strategy = st.dictionaries(
     st.integers(1, 8),
@@ -101,6 +102,24 @@ def test_trace_sufficiency_exact():
     for _ in range(20):
         x = rand_vector(rng, W8, 5)
         assert f_norm(x, S8) == f_norm(x, trace(S8, x.support))
+
+
+def test_block_power_refuses_a_power_past_the_size_cap():
+    # the cap is checked before any run norm is powered; without it
+    # p = 10^8 ran past 20 s and p = 10^400 can never finish
+    x = SparseVector({2: Fraction(1, 3), 4: Fraction(5, 7)})
+    with mock.patch.object(norms, "_block_dp", side_effect=AssertionError("a power was built")):
+        for p in (10**8, 10**400):
+            with pytest.raises(ValueError, match="exact power would pass"):
+                block_p_norm_power(x, S5, p)
+            with pytest.raises(ValueError, match="exact power would pass"):
+                baernstein_norm(x, S5, p)
+    # 1/3 and 5/7 are 7 and 15 over 21: the l1 sum 22 has 5 bits
+    assert block_p_norm_power(x, S5, 10_000) == block_power_brute(dict(x.items()), S5.members(), 10_000)
+    unit = SparseVector.unit(4)
+    assert block_p_norm_power(unit, S5, norms.MAX_POWER_BITS) == 1
+    with pytest.raises(ValueError):
+        block_p_norm_power(unit, S5, norms.MAX_POWER_BITS + 1)
 
 
 def test_block_norm_examples():
@@ -379,13 +398,18 @@ family_strategy = st.one_of(
 
 @st.composite
 def eps_vectors(draw):
-    """0-4 vectors on an 8-wide window at 1..8 up to 7..14, positive or signed."""
+    """0-8 vectors on an 8-wide window at 1..8 up to 7..14, positive or signed.
+
+    With 5-8 vectors the weak bound is often below their number, so the
+    walk's count test skips subtrees without the two-vector shortcut.
+    """
     lo = draw(st.integers(0, 6))
     value = st.fractions(min_value=-3, max_value=3, max_denominator=12)
     if draw(st.booleans()):
         value = value.map(abs)
     coords = st.dictionaries(st.integers(lo + 1, lo + 8), value, max_size=4)
-    return [SparseVector(d) for d in draw(st.lists(coords, max_size=4))]
+    n = draw(st.integers(0, 8))
+    return [SparseVector(d) for d in draw(st.lists(coords, min_size=n, max_size=n))]
 
 
 def _outcome(run):
@@ -419,15 +443,38 @@ MIXED_PAIR = [SparseVector({k: (-1) ** k for k in W12}), SparseVector({k: 1 for 
     Fraction(1, 2),
     2**3,
 )
+# answers below the number of vectors: a bound without the labels ahead
+# gives 2 of 7 here, and one that needs the sums to pass eps strictly 3 of 5
+@example(
+    [SparseVector(d) for d in (
+        {6: Fraction(5, 2), 7: 2, 12: 3}, {6: 3, 8: Fraction(5, 2), 10: 5, 12: 1},
+        {7: 2, 9: 1, 10: 5}, {5: 1, 9: 4, 10: 1}, {6: 2, 11: Fraction(1, 2)},
+        {6: 2, 8: Fraction(5, 2)}, {5: Fraction(1, 2), 6: 3, 7: 2, 10: 1},
+    )],
+    EPS_FAMILIES[0],
+    Fraction(3),
+    norms.MAX_SIGN_PATTERNS,
+)
+@example(
+    [SparseVector(d) for d in (
+        {8: Fraction(3, 2)}, {4: Fraction(1, 2), 5: 6, 6: Fraction(3, 2), 9: 3},
+        {3: 3, 4: 4, 6: Fraction(5, 2)}, {9: Fraction(1, 2)}, {9: 2},
+    )],
+    S2_12,
+    Fraction(3, 2),
+    norms.MAX_SIGN_PATTERNS,
+)
 def test_eps_supports_match_the_per_set_scan(xs, family, eps, cap):
+    # the two calls are compared one by one: a refusal by one must not hide
+    # the other's value or message
     spec = NormingSpec(family)
     with mock.patch.object(norms, "MAX_SIGN_PATTERNS", cap):
-        got = _outcome(lambda: (eps_support_family(xs, spec, eps), uniform_weak_bound(xs, spec, eps)))
-        want = _outcome(lambda: (
-            Family([(), *eps_supports_per_set(xs, family, eps)]),
-            max(map(len, eps_supports_per_set(xs, family, eps)), default=0),
-        ))
-    assert got == want
+        got = _outcome(lambda: eps_support_family(xs, spec, eps))
+        want = _outcome(lambda: Family([(), *eps_supports_per_set(xs, family, eps)]))
+        assert got == want
+        got = _outcome(lambda: uniform_weak_bound(xs, spec, eps))
+        want = _outcome(lambda: max(map(len, eps_supports_per_set(xs, family, eps)), default=0))
+        assert got == want
 
 
 def test_sign_patterns_refused_on_a_hereditary_family(monkeypatch):
@@ -464,6 +511,33 @@ def test_repeated_traces_enumerate_their_sign_patterns_once(monkeypatch):
     monkeypatch.setattr(norms, "_sign_pattern_supports", counted)
     assert uniform_weak_bound(xs, NormingSpec(family), Fraction(2)) == 1
     assert calls == [(2, 5)]
+
+
+def test_weak_bound_skips_every_subtree_that_cannot_beat_the_best(monkeypatch):
+    # the singleton at 1 reaches eps = 1 on two vectors and the third vector
+    # reaches it nowhere, so best = 2 from the start and no trace can count
+    # 3: the walk skips the subtree of every trace it yields, on a tie
+    walk = norms.trace_sums
+    seen = []
+
+    def recorded(family, columns):
+        inner, skip = walk(family, columns), None
+        while True:
+            try:
+                s, sums = inner.send(skip)
+            except StopIteration:
+                return
+            seen.append(s)
+            skip = yield s, sums
+
+    monkeypatch.setattr(norms, "trace_sums", recorded)
+    xs = [SparseVector({1: 1, 5: 1}), SparseVector({1: 1, 3: -1}), SparseVector({4: Fraction(1, 4)})]
+    assert uniform_weak_bound(xs, NormingSpec(S2_12), Fraction(1)) == 2
+    assert seen == [(1,), (3,), (4,), (5,)]
+    # the full walk behind the family reads every nonempty trace member
+    seen.clear()
+    eps_support_family(xs, NormingSpec(S2_12), Fraction(1))
+    assert len(seen) == len(trace(S2_12, (1, 3, 4, 5))) - 1
 
 
 def test_spreading_constants_exact():

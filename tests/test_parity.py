@@ -121,6 +121,24 @@ def test_eps_support_layer():
     assert digest(out) == "02883a9ca05a96325144a310ce6cca9fa7d7509a9123370c80cd77ccb262fece"
 
 
+def test_weak_bound_layer():
+    # 4-16 vectors, positive and signed, on S_1, S_2 and S_w windows up to
+    # 1..12: answers below the number of vectors exercise the pruned walk
+    rng = random.Random(606)
+    out = []
+    for alpha in ("1", "2", "w"):
+        for hi in (8, 10, 12):
+            w = interval(1, hi)
+            spec = NormingSpec(schreier_enumerate(parse_ordinal(alpha), w))
+            for _ in range(6):
+                xs = [rand_vector(rng, w, 3) for _ in range(rng.randint(4, 16))]
+                if rng.random() < 0.5:
+                    xs = [x.abs() for x in xs]
+                eps = Fraction(rng.randint(1, 8), rng.randint(1, 4))
+                out.append((alpha, hi, xs, eps, uniform_weak_bound(xs, spec, eps)))
+    assert digest(out) == "f63d693214ef66bf54d0050771c8a8298daa092cc41cdda0a2ae2a8f36b5b0bf"
+
+
 def direct_lps(rng):
     """Small LPs that reach every branch of ``solve_lp``.
 

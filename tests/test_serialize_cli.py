@@ -184,6 +184,23 @@ def test_cli_norm_prints_exact_values_past_float_range(tmp_path, capsys):
     assert format_rational(Fraction(-(10 ** 5000), 3)) == f"-1{'0' * 5000}/3"
 
 
+def test_cli_norm_refuses_a_huge_integer_p_at_once(tmp_path):
+    # without the cap r^p for p = 10^8 ran past 20 s, and 1e400 (the int
+    # 10^400) can never finish; both are refused at once, p = 10^4 still runs
+    vec = write(tmp_path, "x.json", {"coords": [[2, "1/3"], [4, "5/7"]]})
+    fam = write(tmp_path, "f.json", {"sets": [[], [1], [2], [3], [4], [5], [2, 3], [3, 4], [3, 5], [4, 5]]})
+    for p, code in (("100000000", 2), ("1e400", 2), ("10000", 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schreierkit.cli", "norm", "--family", fam, "--vector", vec, "--p", p],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            cwd=Path(__file__).resolve().parents[1] / "src",
+        )
+        assert proc.returncode == code, proc.stderr
+        assert ("exact power would pass" in proc.stderr) == (code == 2)
+
+
 def test_cli_elements_past_64_bits(tmp_path, capsys):
     # labels are Python ints, so a set element of 10^30 is kept exactly
     big = 10**30
