@@ -14,8 +14,9 @@ which gives the family norm of every run support[:j] of a weighted support
 at once.  Member traces on a support come from one preorder walk too,
 :func:`trace_sums`, which yields each member's trace with int column sums
 over it and builds no row per set: :func:`best_set_sum` is the largest of
-those sums, and the trace, a hereditary family's restriction and the
-norming sets all read it with empty columns.
+those sums, :func:`find_uniform_trace` reads each member's count of points
+in a candidate set, and the trace, a hereditary family's restriction and
+the norming sets all read it with empty columns.
 
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
@@ -496,40 +497,28 @@ def find_uniform_trace(
 ) -> UniformTraceResult:
     """Search for T0 within T with #T0 = size and all member traces of size <= bound.
 
-    Subsets of T are scanned in lexicographic order.  The search charges one
-    unit of budget per trie node visited; exceeding ``node_budget`` yields a
-    ``budget-exceeded`` result rather than a silent "absent".  Each walk
-    enters the children of a node from the largest down.
+    Subsets T0 of T are scanned in lexicographic order, each by one walk of
+    :func:`trace_sums` that counts each member's points in T0 and stops at a
+    count above ``bound``.  One unit of budget is charged per trace read, on
+    a hereditary family one trie node entered (only labels in T0 are);
+    exceeding ``node_budget`` yields a ``budget-exceeded`` result rather
+    than a silent "absent".  The empty trace exceeds a negative bound.
     """
     tt = finite_set(t)
     if size > len(tt):
         raise ValueError(f"size {size} exceeds #T = {len(tt)}")
-    label, end = family._label, family._end
+    if bound < 0:
+        return UniformTraceResult("absent", None, 0)
     visited = 0
-
-    def some_trace_exceeds(t0: frozenset[int]) -> Optional[bool]:
-        # True iff some member meets t0 in more than `bound` points.
-        # None signals budget exhaustion.
-        nonlocal visited
-        stack = [(0, 0)]
-        while stack:
-            node, cnt = stack.pop()
-            if cnt > bound:
-                return True
-            child, stop = node + 1, end[node]
-            while child < stop:
-                visited += 1
-                if visited > node_budget:
-                    return None
-                stack.append((child, cnt + (label[child] in t0)))
-                child = end[child]
-        return False
-
     for combo in itertools.combinations(tt, size):
-        exceeded = some_trace_exceeds(frozenset(combo))
-        if exceeded is None:
-            return UniformTraceResult("budget-exceeded", None, visited)
-        if not exceeded:
+        # an empty T0 gives empty columns, whose sum is each trace's 0
+        for _, count in trace_sums(family, dict.fromkeys(combo, (1,))):
+            visited += 1
+            if visited > node_budget:
+                return UniformTraceResult("budget-exceeded", None, visited)
+            if sum(count) > bound:
+                break
+        else:
             return UniformTraceResult("found", combo, visited)
     return UniformTraceResult("absent", None, visited)
 

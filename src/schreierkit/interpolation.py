@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Union
 
 from .families import Family, maximal_mask, norming_sets
 from .lp import LPResult, solve_lp
-from .norms import certify_left_out_rows, float_root
+from .norms import certify_left_out_rows, float_root, power_weights
 from .vectors import Rational, SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
@@ -181,7 +181,8 @@ def dfjp_norm(
     Levels n = 1..n_max are exact values from :func:`dfjp_gauge`, so
     ``powered_hi - powered_lo == tail_powered``; the remainder is bounded
     through the l1 overestimate of the gauge.  Only integer p > 1 is
-    supported exactly.  ``tolerance`` is validated but ignored.
+    supported exactly, below the cap of :func:`~schreierkit.norms.power_weights`,
+    checked before any LP.  ``tolerance`` is validated but ignored.
     """
     p = Fraction(p)
     if p <= 1:
@@ -194,6 +195,7 @@ def dfjp_norm(
     if not x:
         zero = Fraction(0)
         return DfjpNormResult((), zero, zero, zero, pint)
+    power_weights(x, pint)
     brackets = tuple(
         dfjp_gauge(GaugeProblem(x, n, family, tolerance)) for n in range(1, n_max + 1)
     )

@@ -23,13 +23,12 @@ takes floats, and each DP cell divides its two ints once.  Member scans
 (the trie walk, eps-supports and the uniform weak bound) and the spreading
 LP's rows scale their inputs once by the lcm of the denominators
 (:func:`~schreierkit.vectors.int_scaled`) and then add and compare Python
-ints; this is still exact and uses no floats.  The eps-supports take one
-walk per call, :func:`~schreierkit.families.trace_sums`, which keeps every
-vector's signed and absolute sum along each path of the trie; only a path
-on which some vector changes sign falls back to its sign patterns.  The
-eps-support family reads every trace; the uniform weak bound needs only
-the largest support, so it prunes the same walk by branch-and-bound and
-skips every subtree that cannot beat the best support found so far.
+ints; this is still exact and uses no floats.  The eps-supports come from
+one walk, :func:`_eps_supports`, over the trie paths with every vector's
+signed and absolute sum (:func:`~schreierkit.families.trace_sums`); only a
+path on which some vector changes sign falls back to its sign patterns.
+The eps-support family reads every support; the uniform weak bound sends
+its best size back, and the walk skips every subtree that cannot beat it.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Generator, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .families import (
     Family,
@@ -90,17 +90,24 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
     the support positions is exact.  Every run norm is r / scale with r an
     int (see :func:`_block_dp`), so the DP adds and compares the ints r^p
     and the best sum is that int over scale^p: one ``Fraction`` per call,
-    in lowest terms, and no float.  Every r is at most the l1 sum of the
-    ints, so a p whose powers could pass MAX_POWER_BITS is refused with
-    ValueError before any is built.
+    in lowest terms, and no float.  A p whose powers could pass
+    MAX_POWER_BITS is refused before any is built (:func:`power_weights`).
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    weights, scale = power_weights(x, p)
+    return Fraction(_block_dp(x.support, weights, family, lambda r: r**p), scale**p)
+
+
+def power_weights(x: SparseVector, p: int) -> tuple[list[int], int]:
+    """The |x_k| as ints over their common scale, refused with ValueError when
+    p times the bit length of their sum or of the scale, which bounds r^p for
+    every r up to that sum and scale^p, passes MAX_POWER_BITS."""
     ints, scale = int_scaled(v for _, v in x.items())
     weights = list(map(abs, ints))
     if p * max(sum(weights), scale).bit_length() > MAX_POWER_BITS:
         raise ValueError(f"p is too large: the exact power would pass {MAX_POWER_BITS} bits")
-    return Fraction(_block_dp(x.support, weights, family, lambda r: r**p), scale**p)
+    return weights, scale
 
 
 def _block_dp(
@@ -141,7 +148,7 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
     one int division per cell, correctly rounded as ``float(Fraction(r,
     scale))`` is, even when r and scale are past float range; the DP sums
     those floats, and a sum of powers past float range is refused with
-    ValueError.
+    ValueError, as is a nonzero x whose sum of powers underflows to 0.
     """
     if _is_inf(p):
         return f_norm(x, family)
@@ -161,26 +168,34 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
         total = math.inf
     if math.isinf(total):
         raise ValueError(f"p = {p}: the float block norm overflows; an integer p is exact")
+    if x and not total:
+        raise ValueError(f"p = {p}: the float block norm underflows; an integer p is exact")
     return total ** (1.0 / q)
 
 
 def float_root(power: Fraction, p: int) -> float:
     """The p-th root of an exact power as a float.
 
-    When float(power) would overflow, 2^t with t about log2(power) is
-    factored out first, so the scaled power lies in (1/2, 2), and the root is
-    scaled back by 2^(t/p); otherwise nothing is factored out.  A root that
-    does not fit a float is refused with ValueError.
+    When a positive power would overflow a float or fall below the normal
+    floats, 2^t with t about log2(power) is factored out first, so the
+    scaled power lies in (1/2, 2), and the root is scaled back by 2^(t/p);
+    otherwise nothing is factored out.  A root that does not fit a float is
+    refused with ValueError.
     """
     try:
-        return float(power) ** (1.0 / p)
+        f = float(power)
     except OverflowError:
-        pass
+        f = math.inf
+    if not power or sys.float_info.min <= f < math.inf:
+        return f ** (1.0 / p)
     t = power.numerator.bit_length() - power.denominator.bit_length()
     try:
-        return float(power / 2**t) ** (1.0 / p) * 2.0 ** (t / p)
+        root = float(power / Fraction(2) ** t) ** (1.0 / p) * 2.0 ** (t / p)
     except OverflowError:
-        raise ValueError(f"the {p}-th root of a {t}-bit power does not fit a float") from None
+        root = math.inf
+    if not 0 < root < math.inf:
+        raise ValueError(f"the {p}-th root of a power near 2^{t} does not fit a float")
+    return root
 
 
 class NormingSpec(NamedTuple):
@@ -216,42 +231,73 @@ def _int_columns(
     return bar, ints, columns
 
 
-def _definite(sums: tuple[int, ...], n_xs: int) -> bool:
-    """Whether every x_n keeps one sign on a set, from its column sums."""
-    signed, absolute = sums[:n_xs], sums[n_xs:]
-    # the tuples are equal when all sums are >= 0
-    return signed == absolute or tuple(map(abs, signed)) == absolute
-
-
-def _eps_supports(xs: Sequence[SparseVector], family: Family, eps: Fraction) -> Iterator[FiniteSet]:
+def _eps_supports(
+    xs: Sequence[SparseVector], family: Family, eps: Fraction
+) -> Generator[FiniteSet, Optional[int], None]:
     """The eps-supports {n : |f(x_n)| >= eps} of the norming functionals.
 
     A functional acts on the x_n only through its trace on their union
-    support, so the singletons and the traces of the members cover them
-    all.  One walk of the trie (:func:`~schreierkit.families.trace_sums`)
-    gives each trace with every x_n's signed and absolute sum over it.
-    Where every x_n is sign-definite on a trace (|signed| = absolute), the
-    all-plus pattern reaches the absolute sums at once, and its support
-    contains every other pattern's.  A mixed trace falls back to the sign
-    patterns over it (:func:`_sign_pattern_supports`), refused beyond
-    MAX_SIGN_PATTERNS.  The mixed traces are collected first, so a trace
-    that many members share is tried once, and they are tried in
-    lexicographic order, so a refusal names the first refused trace of
-    :func:`~schreierkit.families.norming_sets`.  Inputs are scaled to ints
-    once by the common lcm (:func:`_int_columns`).
+    support, so the singletons and the member traces cover them all.  One
+    walk, :func:`~schreierkit.families.trace_sums`, gives each trace with
+    every x_n's signed and absolute int sums over it (:func:`_int_columns`).
+    Where every x_n is sign-definite on a trace, the all-plus pattern's
+    support contains every other pattern's.  The mixed traces are tried once
+    each after the walk, in lexicographic order, by their sign patterns
+    (:func:`_sign_pattern_supports`), so a refusal beyond MAX_SIGN_PATTERNS
+    names the first refused trace of :func:`~schreierkit.families.norming_sets`.
+
+    A plain ``for`` loop gets every support.  A caller after the largest
+    sends ``best``, its largest size so far, after each support; the
+    generator then yields only larger supports and skips every subtree that
+    cannot beat ``best``.  At a trace s with last label e, each f in the
+    subtree has |f(x_n)| <= abs_n(s) + ahead_n(e), the absolute sums over s
+    and over the support labels above e; the subtree is skipped when at most
+    ``best`` x_n reach eps that way and all its traces, at most len(s) plus
+    the labels above e, fit the cap (read at call time), so each refusal
+    stays.  A mixed trace is tried only when over the cap or when its
+    absolute sums reach eps on more than ``best`` vectors, the set that
+    holds every pattern's support.
     """
     bar, ints, columns = _int_columns(xs, eps)
     n_xs = len(xs)
+    fits = MAX_SIGN_PATTERNS.bit_length()  # the largest size with 2^(size-1) patterns in the cap
+    # cut[e]: bar less each x_n's absolute sum over the labels above e, and
+    # their count; e = 0 stands before every label (indices are >= 1)
+    cut: dict[int, tuple[tuple[int, ...], int]] = {}
+    ahead, rest = (0,) * n_xs, 0
+    for k in reversed(columns):
+        cut[k] = (tuple(bar - a for a in ahead), rest)
+        ahead, rest = tuple(map(operator.add, ahead, columns[k][n_xs:])), rest + 1
+    cut[0] = (tuple(bar - a for a in ahead), rest)
+    numbers = range(1, n_xs + 1)
+    best = None
     for col in columns.values():
-        yield tuple(n for n, v in enumerate(col[n_xs:], start=1) if v >= bar)
-    mixed: set[FiniteSet] = set()
-    for s, sums in trace_sums(family, columns):
-        if _definite(sums, n_xs):
-            yield tuple(n for n, v in enumerate(sums[n_xs:], start=1) if v >= bar)
+        if best is None or sum(map(bar.__le__, col[n_xs:])) > best:
+            best = yield tuple(itertools.compress(numbers, map(bar.__le__, col[n_xs:])))
+    # mixed[s]: how many x_n reach eps by their absolute sums over s
+    mixed: dict[FiniteSet, int] = {}
+    walk = trace_sums(family, columns)
+    skip = None
+    while True:
+        try:
+            s, sums = walk.send(skip)
+        except StopIteration:
+            break
+        signed, absolute = sums[:n_xs], sums[n_xs:]
+        # every x_n keeps one sign on s; the tuples are equal when all sums are >= 0
+        if signed == absolute or tuple(map(abs, signed)) == absolute:
+            if best is None or sum(map(bar.__le__, absolute)) > best:
+                best = yield tuple(itertools.compress(numbers, map(bar.__le__, absolute)))
         else:
-            mixed.add(s)
+            mixed[s] = sum(map(bar.__le__, absolute))
+        if best is not None:
+            need, rest = cut[s[-1] if s else 0]
+            skip = len(s) + rest <= fits and sum(map(operator.ge, absolute, need)) <= best
     for s in sorted(mixed):
-        yield from _sign_pattern_supports(s, ints, bar)
+        if best is None or len(s) > fits or mixed[s] > best:
+            for support in _sign_pattern_supports(s, ints, bar):
+                if best is None or len(support) > best:
+                    best = yield support
 
 
 def _sign_pattern_supports(
@@ -282,11 +328,8 @@ def eps_support_family(
     and every such eps-support lies inside a member, so the largest member
     has :func:`uniform_weak_bound` elements.  The empty set is always present
     (the norming set contains functionals supported away from every x_n).
-    The members come from one trie walk (see :func:`_eps_supports`): the
-    signed and absolute sums of each x_n along a path give its eps-support
-    at once where every x_n keeps one sign, and only a path of mixed signs
-    tries its sign patterns, refused, as the weak bound is, beyond
-    MAX_SIGN_PATTERNS.
+    The members are every support :func:`_eps_supports` yields, refused as
+    it refuses beyond MAX_SIGN_PATTERNS.
     """
     return Family._of([(), *_eps_supports(xs, spec.base_family, eps)])
 
@@ -295,54 +338,17 @@ def uniform_weak_bound(xs: Sequence[SparseVector], spec: NormingSpec, eps: Fract
     """max over functionals f in the norming set of #{n : |f(x_n)| >= eps}.
 
     The largest eps-support of :func:`eps_support_family`, or 0 when there
-    is none, by branch-and-bound on the same trie walk: ``best`` starts at
-    the singletons' largest eps-support and grows at each sign-definite
-    trace.  At a trace s with last label e, every functional in the
-    subtree of s is supported in s plus support labels above e, so
-    |f(x_n)| is at most abs_n(s) + ahead_n(e), the absolute sums over s
-    and over the labels above e.  When at most ``best`` of the x_n reach
-    eps that way, no sign pattern on any extension beats ``best`` and the
-    subtree is skipped (see :func:`~schreierkit.families.trace_sums`).
-    The skip is taken only when the subtree's traces, at most len(s) plus
-    the count of labels above e, all fit the sign-pattern cap
-    MAX_SIGN_PATTERNS (read at call time), so every refused mixed trace is
-    still found and refused as :func:`eps_support_family` refuses it.  The
-    mixed traces are tried in lexicographic order after the walk, each
-    only when its absolute sums reach eps on more than ``best`` vectors:
-    every pattern's eps-support lies in that set.  Exact.
+    is none.  It sends the size of each support back into
+    :func:`_eps_supports`, which then yields only larger supports, skips
+    every subtree that cannot beat it and keeps every refusal.  Exact.
     """
-    bar, ints, columns = _int_columns(xs, eps)
-    n_xs = len(xs)
-    fits = MAX_SIGN_PATTERNS.bit_length()  # the largest size with 2^(size-1) patterns in the cap
-    # cut[e]: bar less each x_n's absolute sum over the labels above e, and
-    # their count; e = 0 stands before every label (indices are >= 1)
-    cut: dict[int, tuple[tuple[int, ...], int]] = {}
-    ahead, rest = (0,) * n_xs, 0
-    for k in reversed(columns):
-        cut[k] = (tuple(bar - a for a in ahead), rest)
-        ahead, rest = tuple(map(operator.add, ahead, columns[k][n_xs:])), rest + 1
-    cut[0] = (tuple(bar - a for a in ahead), rest)
-    best = max((sum(map(bar.__le__, col[n_xs:])) for col in columns.values()), default=0)
-    mixed: dict[FiniteSet, int] = {}
-    walk = trace_sums(spec.base_family, columns)
-    skip = None
+    supports = _eps_supports(xs, spec.base_family, eps)
+    best = None  # a just-started generator takes only None
     while True:
         try:
-            s, sums = walk.send(skip)
+            best = len(supports.send(best))
         except StopIteration:
-            break
-        absolute = sums[n_xs:]
-        count = sum(map(bar.__le__, absolute))
-        if _definite(sums, n_xs):
-            best = max(best, count)
-        else:
-            mixed[s] = count
-        need, rest = cut[s[-1] if s else 0]
-        skip = len(s) + rest <= fits and sum(map(operator.ge, absolute, need)) <= best
-    for s in sorted(mixed):
-        if len(s) > fits or mixed[s] > best:
-            best = max(best, *map(len, _sign_pattern_supports(s, ints, bar)))
-    return best
+            return best or 0
 
 
 class SpreadingResult(NamedTuple):

@@ -1,0 +1,184 @@
+"""Mutation checks: each mutant below must make at least one of its tests fail.
+
+Run from anywhere, with pytest and hypothesis installed::
+
+    python3 tests/mutants.py
+
+For each mutant the script copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory, replaces the mutant's text, which must occur
+exactly once in its file, and runs the mutant's tests there with pytest.
+The copy takes the ini too: its ``pythonpath = ["src"]`` goes first on
+``sys.path``, so the tests import the mutated copy and not a ``src`` that
+``PYTHONPATH`` names.  The tests are first run once on an unmutated copy,
+so a test that fails anyway cannot count as a kill.  The script exits 1
+when a mutant survives or its text does not match exactly once, and 0 when
+every mutant is killed.  Stdlib only; pytest does not collect this file.
+
+A change that rewrites mutated code re-anchors its records here, and a new
+mutant is added as a record, with the tests that kill it.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Sequence
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: seconds one pytest run may take before the mutant counts as killed
+TIMEOUT = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids relative to the repository root
+
+
+NORMS = "src/schreierkit/norms.py"
+EPS_SCAN = "tests/test_norms.py::test_eps_supports_match_the_per_set_scan"
+
+MUTANTS = (
+    # the eps-support walk's branch-and-bound (norms._eps_supports)
+    Mutant(
+        "eps-refusal-guard-dropped",
+        NORMS,
+        "skip = len(s) + rest <= fits and sum(",
+        "skip = sum(",
+        (EPS_SCAN, "tests/test_norms.py::test_sign_patterns_refused_on_a_hereditary_family"),
+    ),
+    Mutant(
+        "eps-ahead-dropped",
+        NORMS,
+        "        cut[k] = (tuple(bar - a for a in ahead), rest)\n",
+        "        cut[k] = ((bar,) * n_xs, rest)\n",
+        ("tests/test_norms.py::test_uniform_weak_bound_cases", EPS_SCAN),
+    ),
+    Mutant(
+        "eps-skip-on-a-tie-dropped",
+        NORMS,
+        "sum(map(operator.ge, absolute, need)) <= best",
+        "sum(map(operator.ge, absolute, need)) < best",
+        ("tests/test_norms.py::test_weak_bound_skips_every_subtree_that_cannot_beat_the_best",),
+    ),
+    Mutant(
+        "eps-count-strict",
+        NORMS,
+        "sum(map(operator.ge, absolute, need)) <= best",
+        "sum(map(operator.gt, absolute, need)) <= best",
+        (EPS_SCAN, "tests/test_parity.py::test_weak_bound_layer"),
+    ),
+    Mutant(
+        "eps-smaller-definite-support-yielded",
+        NORMS,
+        "            if best is None or sum(map(bar.__le__, absolute)) > best:\n",
+        "            if True:\n",
+        ("tests/test_norms.py::test_uniform_weak_bound_cases", EPS_SCAN),
+    ),
+    Mutant(
+        "eps-smaller-pattern-support-yielded",
+        NORMS,
+        "                if best is None or len(support) > best:\n",
+        "                if True:\n",
+        ("tests/test_norms.py::test_uniform_weak_bound_signed_enumeration", EPS_SCAN),
+    ),
+    # the uniform trace search (families.find_uniform_trace)
+    Mutant(
+        "uniform-trace-bound-inclusive",
+        "src/schreierkit/families.py",
+        "            if sum(count) > bound:\n",
+        "            if sum(count) >= bound:\n",
+        (
+            "tests/test_families.py::test_find_uniform_trace_found_and_absent",
+            "tests/test_families.py::test_find_uniform_trace_matches_the_brute_scan",
+        ),
+    ),
+    # the size caps on exact powers
+    Mutant(
+        "power-cap-dropped",
+        NORMS,
+        "    if p * max(sum(weights), scale).bit_length() > MAX_POWER_BITS:\n",
+        "    if False:\n",
+        ("tests/test_norms.py::test_block_power_refuses_a_power_past_the_size_cap",),
+    ),
+    Mutant(
+        "dfjp-power-cap-skipped",
+        "src/schreierkit/interpolation.py",
+        "    power_weights(x, pint)\n",
+        "",
+        ("tests/test_interpolation.py::test_dfjp_norm_refuses_a_huge_integer_p_before_any_lp",),
+    ),
+    # roots of powers below the float range
+    Mutant(
+        "float-root-underflow-unscaled",
+        NORMS,
+        "    if not power or sys.float_info.min <= f < math.inf:\n",
+        "    if not power or 0 <= f < math.inf:\n",
+        ("tests/test_norms.py::test_float_root_below_float_range",),
+    ),
+    Mutant(
+        "float-block-underflow-accepted",
+        NORMS,
+        "    if x and not total:\n",
+        "    if False:\n",
+        ("tests/test_norms.py::test_float_root_below_float_range",),
+    ),
+)
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def tests_fail(tree: Path, tests: Sequence[str]) -> tuple[bool, str]:
+    """Whether some of ``tests`` fails in ``tree``, and how it ended."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return True, f"timed out after {TIMEOUT} s"
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode != 0, lines[-1] if lines else proc.stderr.strip()
+
+
+def run(mutants: Sequence[Mutant]) -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        copy_tree(base)
+        tests = sorted({t for m in mutants for t in m.tests})
+        failed, summary = tests_fail(base, tests)
+        if failed:
+            print(f"the tests fail unmutated: {summary}")
+            return 1
+        for i, m in enumerate(mutants):
+            text = (ROOT / m.path).read_text()
+            if text.count(m.old) != 1:
+                print(f"STALE     {m.name}: its text occurs {text.count(m.old)} times in {m.path}")
+                failures += 1
+                continue
+            tree = Path(tmp) / f"m{i}"
+            copy_tree(tree)
+            (tree / m.path).write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            killed, summary = tests_fail(tree, m.tests)
+            elapsed = time.perf_counter() - start
+            print(f"{'killed' if killed else 'SURVIVED':9} {m.name} ({elapsed:.1f} s: {summary})")
+            failures += not killed
+            shutil.rmtree(tree)
+    print(f"{len(mutants) - failures} of {len(mutants)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(MUTANTS))

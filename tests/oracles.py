@@ -42,6 +42,16 @@ def trace_brute(members, m):
     return sorted({tuple(e for e in s if e in m) for s in members})
 
 
+def uniform_trace_brute(members, t, size, bound):
+    """``find_uniform_trace``'s status and witness by a scan of every member:
+    the first size-subset T0 of t, in lexicographic order, that no member
+    meets in more than ``bound`` points; the empty trace counts as size 0."""
+    for t0 in itertools.combinations(sorted(set(t)), size):
+        if max((len(set(s) & set(t0)) for s in members), default=0) <= bound:
+            return "found", t0
+    return "absent", None
+
+
 def eps_supports_per_set(xs, family, eps):
     """The eps-supports {n : |f(x_n)| >= eps} of the norming functionals, set by set.
 

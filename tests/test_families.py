@@ -28,7 +28,13 @@ from schreierkit import (
 )
 from schreierkit.families import maximal_mask, norming_sets, run_norms, trace_sums
 
-from oracles import all_subsets, block_decomposable, family_norm_brute, trace_brute
+from oracles import (
+    all_subsets,
+    block_decomposable,
+    family_norm_brute,
+    trace_brute,
+    uniform_trace_brute,
+)
 
 sets_strategy = st.lists(
     st.frozensets(st.integers(1, 9), min_size=0, max_size=4), min_size=0, max_size=6
@@ -261,22 +267,42 @@ def test_find_uniform_trace_found_and_absent():
     f2 = bounded_cardinality_family(interval(1, 12), 2)
     res = find_uniform_trace(f2, interval(1, 10), 5, 2)
     assert res.found and res.witness == (1, 2, 3, 4, 5)
-    # the work counts are pinned: one unit per trie node entered
-    assert res.nodes_visited == 78
+    # the work counts are pinned: one unit per trace read, on these hereditary
+    # families one trie node entered, and only labels in T0 are entered
+    assert res.nodes_visited == 15
 
     # every 4-subset of {10..16} is Schreier-admissible, so no T0 works
     s = schreier_family(interval(10, 16))
     res2 = find_uniform_trace(s, interval(10, 16), 4, 3)
     assert res2.status == "absent"
-    assert res2.nodes_visited == 2624
+    assert res2.nodes_visited == 140
     # the search that `verify` runs, over S_1(1..16)
     res_verify = find_uniform_trace(schreier_family(interval(1, 16)), interval(10, 16), 4, 3)
-    assert res_verify.status == "absent" and res_verify.nodes_visited == 2939
+    assert res_verify.status == "absent" and res_verify.nodes_visited == 140
 
     res3 = find_uniform_trace(Family([[1, 2, 3, 4]]), interval(1, 8), 4, 3)
     assert res3.found
     stray = set(res3.witness) & {1, 2, 3, 4}
     assert len(stray) <= 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sets_strategy,
+    st.booleans(),
+    st.booleans(),
+    st.frozensets(st.integers(1, 9), max_size=7),
+    st.integers(-1, 3),
+    st.data(),
+)
+def test_find_uniform_trace_matches_the_brute_scan(sets, flagged, with_empty, t, bound, data):
+    members = {frozenset(s) for s in sets} - {frozenset()} | ({frozenset()} if with_empty else set())
+    family = Family(members)
+    if flagged:
+        family = hereditary_closure(family)
+    size = data.draw(st.integers(0, len(t)))
+    res = find_uniform_trace(family, t, size, bound)
+    assert (res.status, res.witness) == uniform_trace_brute(family.members(), t, size, bound)
 
 
 def test_find_uniform_trace_budget_exhaustion_is_distinct():

@@ -144,6 +144,21 @@ def test_dfjp_norm_scaling_and_zero():
             dfjp_norm(x, BASE, 2, n_max=n_max)
 
 
+def test_dfjp_norm_refuses_a_huge_integer_p_before_any_lp(monkeypatch):
+    # |x| sums to 5/4: ints (3, 2) over scale 4, so the bit length is 3 and
+    # p = 21 fits a 64-bit cap, p = 22 does not
+    monkeypatch.setattr(norms, "MAX_POWER_BITS", 64)
+    x = SparseVector({2: Fraction(3, 4), 3: Fraction(-1, 2)})
+    assert dfjp_norm(x, BASE, 21, n_max=1).p == 21
+
+    def no_lp(*args):
+        raise AssertionError("an LP was solved for a refused p")
+
+    monkeypatch.setattr(interpolation, "dfjp_gauge", no_lp)
+    with pytest.raises(ValueError, match="exact power would pass 64 bits"):
+        dfjp_norm(x, BASE, 22, n_max=1)
+
+
 def test_gauge_respects_family_choice():
     # a richer family increases the norm, hence the gauge
     rng = random.Random(29)

@@ -150,6 +150,21 @@ def test_float_root_past_float_range():
         baernstein_norm(x, fam, Fraction(701, 2))
 
 
+def test_float_root_below_float_range():
+    # (1/1000)^200 = 10^-600 is below the float range, its root is not
+    assert baernstein_norm(SparseVector({2: Fraction(1, 1000)}), S5, 200) == pytest.approx(0.001, rel=1e-14)
+    assert float_root(Fraction(3, 7 * 10**5000), 5000) == pytest.approx(0.1 * (3 / 7) ** (1 / 5000), rel=1e-13)
+    # a subnormal power is factored too; a normal one takes the plain root
+    assert float_root(Fraction(1, 10**310), 2) == pytest.approx(1e-155, rel=1e-15)
+    tiny = Fraction(1, 10**300)
+    assert float_root(tiny, 3) == float(tiny) ** (1.0 / 3)
+    with pytest.raises(ValueError):
+        float_root(Fraction(1, 10**700), 2)  # the root 10^-350 is below float range too
+    # the float path for non-integer p refuses a sum of powers that underflows to 0
+    with pytest.raises(ValueError, match="5/2: the float block norm underflows"):
+        baernstein_norm(SparseVector({2: Fraction(1, 10**200)}), S5, Fraction(5, 2))
+
+
 def test_block_norm_p1_is_l1():
     x = SparseVector({2: Fraction(1, 2), 5: Fraction(-1, 3), 7: 2})
     assert baernstein_norm(x, S8, 1) == x.l1_norm()
@@ -334,6 +349,10 @@ def test_uniform_weak_bound_signed_enumeration():
     assert eps_support_family(xs, spec, Fraction(2)) == Family([[], [1], [2]])
     # at eps = 1/2 the singleton e_1* reaches both vectors
     assert uniform_weak_bound(xs, spec, Fraction(1, 2)) == 2
+    # the last sign pattern reaches fewer vectors than the first: (1, 1)
+    # reaches {1, 2} and (1, -1) only {3}, and the bound keeps the larger
+    xs3 = [SparseVector({1: 1, 2: 1}), SparseVector({1: 1, 2: 1}), SparseVector({1: 1, 2: -1})]
+    assert uniform_weak_bound(xs3, spec, Fraction(2)) == 2
 
 
 signed_vectors_strategy = st.lists(

@@ -201,6 +201,37 @@ def test_cli_norm_refuses_a_huge_integer_p_at_once(tmp_path):
         assert ("exact power would pass" in proc.stderr) == (code == 2)
 
 
+def test_cli_gauge_refuses_a_huge_integer_p_at_once(tmp_path):
+    # without the cap the gauge's p-th powers for p = 10^8 ran past 8 s;
+    # p = 1000 still runs
+    vec = write(tmp_path, "x.json", {"coords": [[2, "1/3"], [4, "5/7"]]})
+    fam = write(tmp_path, "f.json", {"sets": [[], [1], [2], [3], [4], [5], [2, 3], [3, 4], [3, 5], [4, 5]]})
+    for p, code in (("100000000", 2), ("1000", 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schreierkit.cli", "gauge", "--family", fam, "--vector", vec,
+             "--nmax", "1", "--p", p],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            cwd=Path(__file__).resolve().parents[1] / "src",
+        )
+        assert proc.returncode == code, proc.stderr
+        assert ("exact power would pass" in proc.stderr) == (code == 2)
+
+
+def test_cli_roots_powers_below_float_range(tmp_path, capsys):
+    # (1/1000)^200 and the gauges' 1000-th powers are below the float range,
+    # their roots are not
+    vec = write(tmp_path, "x.json", {"coords": [[2, "1/1000"]]})
+    fam = write(tmp_path, "f.json", {"sets": [[], [1], [2], [3], [4], [5], [2, 3], [3, 4], [3, 5], [4, 5]]})
+    assert main(["norm", "--family", fam, "--vector", vec, "--p", "200"]) == 0
+    assert float(capsys.readouterr().out.split()[0]) == pytest.approx(0.001, rel=1e-12)
+    assert main(["gauge", "--vector", vec, "--family", fam, "--nmax", "1", "--p", "1000"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    lo, hi = (float(v) for v in line.split("[")[1].rstrip("]").split(", "))
+    assert 0 < lo <= hi
+
+
 def test_cli_elements_past_64_bits(tmp_path, capsys):
     # labels are Python ints, so a set element of 10^30 is kept exactly
     big = 10**30
