@@ -183,22 +183,14 @@ def cmd_norm(args: argparse.Namespace) -> int:
 
 
 def _load_params(args: argparse.Namespace) -> tuple[TParams, int]:
-    from . import tfamily as tf
-
-    seed = args.seed
-    if args.config:
-        params, cfg_seed = tparams_from_obj(load_json(args.config))
-        if args.seed_explicit is None and cfg_seed is not None:
-            seed = cfg_seed
-        # flags win over the config file
-        if args.lam is not None or args.window_max is not None:
-            lam = parse_rational(args.lam) if args.lam is not None else params.lam
-            wmax = args.window_max if args.window_max is not None else params.window_max
-            params = tf.TParams.build(lam, wmax)
-        return params, seed
-    lam = parse_rational(args.lam) if args.lam is not None else Fraction(1, 2)
-    wmax = args.window_max if args.window_max is not None else 7
-    return tf.TParams.build(lam, wmax), seed
+    """The family parameters and seed: the flags override the config's
+    lambda, window_max and seed, and its radices stay."""
+    obj = load_json(args.config) if args.config else {}
+    if isinstance(obj, dict):
+        flags = {"lambda": args.lam, "window_max": args.window_max, "seed": args.seed_explicit}
+        obj = {**obj, **{k: v for k, v in flags.items() if v is not None}}
+    params, seed = tparams_from_obj(obj)
+    return params, args.seed if seed is None else seed
 
 
 def cmd_tfamily(args: argparse.Namespace) -> int:

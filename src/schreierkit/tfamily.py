@@ -22,6 +22,7 @@ lambda.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -29,9 +30,9 @@ import random
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .families import FiniteSet, finite_set
+from .families import Family, FiniteSet, finite_set
 from .schreier import barrier_member
-from .vectors import SparseVector, int_scaled
+from .vectors import SparseVector
 
 DigitKey = tuple[int, int, int, int]  # (m, l, i, j) with 2 <= i < j <= m-1, 1 <= l <= n
 
@@ -40,8 +41,8 @@ def radius(m: int, lam: Fraction) -> int:
     """Smallest r with (1 - 1/r)^C(m-2, 2) >= lam, by exact comparison.
 
     The left side increases with r and is 0 at r = 1, so r is doubled until
-    the test holds and then bisected between the last failing and the first
-    passing value.
+    the test holds at some hi; it fails at hi // 2, and ``bisect`` finds the
+    least passing r in hi // 2 + 1 .. hi.
     """
     if m < 4:
         raise ValueError(f"radices are defined for m >= 4, got {m}")
@@ -53,16 +54,11 @@ def radius(m: int, lam: Fraction) -> int:
     def passes(r: int) -> bool:
         return Fraction(r - 1, r) ** exponent >= lam
 
-    lo, hi = 1, 2
+    hi = 2
     while not passes(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+        hi *= 2
+    candidates = range(hi // 2 + 1, hi + 1)
+    return candidates[bisect.bisect_left(candidates, True, key=passes)]
 
 
 class TParams(NamedTuple):
@@ -473,8 +469,10 @@ def transversal_trace_report(
     with the first u that yields it, and the witness of a subset is the
     least of those u whose trace holds it.  The result is the
     lexicographically first largest sub-transversal with no covered
-    (bound+1)-subset.
+    (bound+1)-subset.  A negative ``bound`` is refused with ValueError.
     """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     pieces = [pt.n for pt in transversal]
     if len(set(pieces)) != len(pieces):
         raise ValueError("not a transversal: two points share a piece")
@@ -506,18 +504,15 @@ def transversal_norms(
     The member sums are, for each window barrier set u, the sum of |a_i|
     over the points lying in F(u), and the sup part is max |a_i|.  Only the
     distinct point traces matter, and one scan of the window gives them for
-    every row; each row is scaled to ints once, and its sums are taken over
-    those traces directly.
+    every row: their family, over the positions 1..len(pts), is built once,
+    and each row's norm is :func:`~schreierkit.norms.f_norm` on it.
     """
+    from .norms import f_norm  # here, so that building and sampling load no norm code
+
     if any(len(coeffs) != len(pts) for coeffs in rows):
         raise ValueError("one coefficient per point required")
-    traces = list(_point_traces(pts, params))
-    out = []
-    for coeffs in rows:
-        ints, scale = int_scaled(abs(Fraction(c)) for c in coeffs)
-        sums = (sum(ints[i - 1] for i in t) for t in traces)
-        out.append(Fraction(max(max(ints, default=0), max(sums, default=0)), scale))
-    return out
+    traces = Family._of(_point_traces(pts, params))
+    return [f_norm(SparseVector(enumerate(coeffs, 1)), traces) for coeffs in rows]
 
 
 def transversal_norm(

@@ -43,7 +43,12 @@ class Mutant(NamedTuple):
 
 
 NORMS = "src/schreierkit/norms.py"
+FAMILIES = "src/schreierkit/families.py"
+TFAMILY = "src/schreierkit/tfamily.py"
 EPS_SCAN = "tests/test_norms.py::test_eps_supports_match_the_per_set_scan"
+TRACE_DEFINITION = "tests/test_families.py::test_trace_matches_member_by_member_definition"
+TRANSVERSAL_SCAN = "tests/test_tfamily.py::test_transversal_queries_match_barrier_scans"
+CERTIFICATE = "tests/test_interpolation.py::test_a_row_left_out_wrongly_fails_the_norm_certificate"
 
 MUTANTS = (
     # the eps-support walk's branch-and-bound (norms._eps_supports)
@@ -92,7 +97,7 @@ MUTANTS = (
     # the uniform trace search (families.find_uniform_trace)
     Mutant(
         "uniform-trace-bound-inclusive",
-        "src/schreierkit/families.py",
+        FAMILIES,
         "            if sum(count) > bound:\n",
         "            if sum(count) >= bound:\n",
         (
@@ -129,6 +134,145 @@ MUTANTS = (
         "    if x and not total:\n",
         "    if False:\n",
         ("tests/test_norms.py::test_float_root_below_float_range",),
+    ),
+    # the run norms (families.run_norms, best_set_sum); the singleton seed
+    # is the sup part of every norm, the block DP's and the transversal
+    # norms' too, so each of those tests must see it go
+    Mutant(
+        "run-norms-singletons-unseeded",
+        FAMILIES,
+        "    at = list(weights)\n",
+        "    at = [0] * m\n",
+        ("tests/test_norms.py::test_f_norm_examples",),
+    ),
+    Mutant(
+        "block-dp-top-weight-dropped",
+        FAMILIES,
+        "    at = list(weights)\n",
+        "    at = [0] * m\n",
+        ("tests/test_norms.py::test_block_rows_match_segment_norms",),
+    ),
+    Mutant(
+        "transversal-sup-floor-dropped",
+        FAMILIES,
+        "    at = list(weights)\n",
+        "    at = [0] * m\n",
+        (TRANSVERSAL_SCAN,),
+    ),
+    Mutant(
+        "best-set-sum-empty-member-dropped",
+        FAMILIES,
+        "    if family.contains_empty:\n        sums.append(0)\n",
+        "",
+        ("tests/test_families.py::test_best_set_sum_is_the_member_maximum_for_every_sign",),
+    ),
+    # traces from the one walk (families.trace_sums and its readers)
+    Mutant(
+        "trace-empty-member-dropped",
+        FAMILIES,
+        "    if family.contains_empty:\n        yield ()\n",
+        "",
+        (TRACE_DEFINITION,),
+    ),
+    Mutant(
+        "norming-sets-unsorted",
+        FAMILIES,
+        "sorted({s for s in _traces(family, support) if len(s) >= 2})",
+        "[s for s in _traces(family, support) if len(s) >= 2]",
+        ("tests/test_families.py::test_hereditary_walks_match_brute_force_and_the_full_walk",),
+    ),
+    Mutant(
+        "restrict-hereditary-flag-dropped",
+        FAMILIES,
+        "        return Family._of(_traces(family, mm), hereditary=True)\n",
+        "        return Family._of(_traces(family, mm))\n",
+        ("tests/test_families.py::test_hereditary_walks_match_brute_force_and_the_full_walk",),
+    ),
+    Mutant(
+        "trace-sums-hereditary-skip-on-every-family",
+        FAMILIES,
+        "    hereditary = family.hereditary_flag is True\n    # images[d]",
+        "    hereditary = True\n    # images[d]",
+        ("tests/test_families.py::test_trace_sums_match_member_by_member_sums",),
+    ),
+    # the eps-supports from the walk (norms._eps_supports)
+    Mutant(
+        "eps-every-trace-sign-definite",
+        NORMS,
+        "        if signed == absolute or tuple(map(abs, signed)) == absolute:\n",
+        "        if True:\n",
+        (EPS_SCAN, "tests/test_parity.py::test_eps_support_layer"),
+    ),
+    Mutant(
+        "eps-singletons-dropped",
+        NORMS,
+        "    for col in columns.values():\n",
+        "    for col in ():\n",
+        (EPS_SCAN, "tests/test_parity.py::test_eps_support_layer"),
+    ),
+    # the block-norm DP on ints (norms.block_p_norm_power, baernstein_norm)
+    Mutant(
+        "block-power-over-scale-not-scale-to-p",
+        NORMS,
+        "lambda r: r**p), scale**p)",
+        "lambda r: r**p), scale)",
+        ("tests/test_norms.py::test_block_norm_power_is_an_exact_fraction",),
+    ),
+    Mutant(
+        "block-float-cell-divides-floats",
+        NORMS,
+        "lambda r: (r / scale) ** q)",
+        "lambda r: (float(r) / float(scale)) ** q)",
+        ("tests/test_norms.py::test_block_norm_float_path_past_float_range_ints",),
+    ),
+    # the certificate of the rows left out (norms.certify_left_out_rows)
+    Mutant(
+        "left-out-rows-uncertified",
+        NORMS,
+        "    if f_norm(point, family) > bound:\n",
+        "    if False:\n",
+        (CERTIFICATE,),
+    ),
+    Mutant(
+        "gauge-certificate-bound-lambda",
+        "src/schreierkit/interpolation.py",
+        "    bound = res.objective / budget if gauge else res.objective\n",
+        "    bound = res.objective\n",
+        (CERTIFICATE,),
+    ),
+    # the counterexample family's parameters and norms (cli, tfamily)
+    Mutant(
+        "config-radices-dropped-by-a-flag",
+        "src/schreierkit/cli.py",
+        "        obj = {**obj, **{k: v for k, v in flags.items() if v is not None}}\n",
+        "        obj = {**obj, **{k: v for k, v in flags.items() if v is not None}}\n"
+        "        if args.lam is not None or args.window_max is not None:\n"
+        '            obj.pop("radices", None)\n',
+        (
+            "tests/test_serialize_cli.py::test_cli_tfamily_flags_keep_the_config_radices",
+            "tests/test_serialize_cli.py::test_cli_tfamily_window_past_the_config_radices_is_refused",
+        ),
+    ),
+    Mutant(
+        "radius-off-by-one",
+        TFAMILY,
+        "    return candidates[bisect.bisect_left(candidates, True, key=passes)]\n",
+        "    return candidates[bisect.bisect_left(candidates, True, key=passes)] + 1\n",
+        ("tests/test_tfamily.py::test_radius_examples_and_minimality",),
+    ),
+    Mutant(
+        "transversal-norms-over-no-trace",
+        TFAMILY,
+        "    traces = Family._of(_point_traces(pts, params))\n",
+        "    traces = Family._of(())\n",
+        (TRANSVERSAL_SCAN,),
+    ),
+    Mutant(
+        "transversal-report-negative-bound-accepted",
+        TFAMILY,
+        "    if bound < 0:\n",
+        "    if False:\n",
+        ("tests/test_tfamily.py::test_transversal_report_refuses_a_negative_bound",),
     ),
 )
 

@@ -323,6 +323,70 @@ def test_cli_tfamily_verify_negative_control(tmp_path, capsys):
     assert "radix_minimality" in text and "fail" in text and "not minimal" in text
 
 
+def test_cli_tfamily_flags_override_the_config(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"lambda": "1/3", "window_max": 5})
+    runs = {
+        (): ("1/3", 5),
+        ("--lam", "1/2"): ("1/2", 5),
+        ("--window-max", "6"): ("1/3", 6),
+        ("--lambda", "1/2", "--window-max", "6"): ("1/2", 6),
+    }
+    for flags, (lam, window_max) in runs.items():
+        assert main(["tfamily", "build", "--config", cfg, *flags]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert (obj["lambda"], obj["window_max"]) == (lam, window_max), flags
+        assert sorted(obj["radices"], key=int) == [str(m) for m in range(4, window_max + 1)]
+    # without a config the flags stand alone, over the defaults 1/2 and 7
+    assert main(["tfamily", "build", "--window-max", "5"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["lambda"], obj["window_max"]) == ("1/2", 5)
+
+
+def test_cli_tfamily_seed_precedence(tmp_path, capsys):
+    from schreierkit.tfamily import TParams, sample_point
+
+    params = TParams.build(Fraction(1, 2), 7)
+    seeded = write(tmp_path, "seeded.json", {"seed": 11})
+    runs = [
+        (["--config", seeded], 11),
+        (["--config", seeded, "--seed", "5"], 5),
+        (["--seed", "5", "--config", seeded], 5),
+        (["--config", write(tmp_path, "plain.json", {})], 12345),
+        ([], 12345),
+    ]
+    for flags, seed in runs:
+        assert main(["tfamily", "sample", "--n", "4", *flags]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["seed"] == seed, flags
+        want = sample_point(4, params, seed).digits
+        assert {tuple(k): v for k, v in obj["digits"]} == want, flags
+    # a global --seed before the subcommand wins over the config too
+    assert main(["--seed", "6", "tfamily", "sample", "--n", "4", "--config", seeded]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 6
+
+
+@pytest.mark.parametrize("flags", [["--window-max", "7"], ["--lam", "1/2"]])
+def test_cli_tfamily_flags_keep_the_config_radices(tmp_path, capsys, flags):
+    # the negative control's corrupted radix table survives a flag
+    bad = write(
+        tmp_path,
+        "bad.json",
+        {"lambda": "1/2", "window_max": 7, "seed": 3,
+         "radices": {"4": 3, "5": 5, "6": 10, "7": 15}},
+    )
+    out = str(tmp_path / "bad.csv")
+    assert main(["tfamily", "verify", "--config", bad, "--output", out, *flags]) == 1
+    text = Path(out).read_text()
+    assert "radix_minimality" in text and "not minimal" in text
+    assert "FAIL tfamily.radix_minimality" in capsys.readouterr().err
+
+
+def test_cli_tfamily_window_past_the_config_radices_is_refused(tmp_path, capsys):
+    cfg = write(tmp_path, "cfg.json", {"radices": {"4": 2, "5": 5, "6": 10, "7": 15}})
+    assert main(["tfamily", "build", "--config", cfg, "--window-max", "9"]) == 2
+    assert "m = 8" in capsys.readouterr().err
+
+
 def test_cli_tfamily_report_mode(tmp_path):
     cfg = write(tmp_path, "cfg.json", {"lambda": "1/2", "window_max": 6, "seed": 2})
     out = str(tmp_path / "report.json")

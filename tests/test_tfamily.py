@@ -286,6 +286,13 @@ def test_transversal_report_small_cases():
         transversal_trace_report([sample_point(4, P7, 1), sample_point(4, P7, 2)], P7, 3)
 
 
+@pytest.mark.parametrize("bound", [-1, -2])
+def test_transversal_report_refuses_a_negative_bound(bound):
+    pts = [sample_point(n, P7, n) for n in (1, 2, 4, 5)]
+    with pytest.raises(ValueError, match=f"bound must be >= 0, got {bound}"):
+        transversal_trace_report(pts, P7, bound)
+
+
 def test_transversal_report_finds_uncovered_subtransversal():
     rng = random.Random(5)
     pts = [sample_point(n, P7, rng) for n in range(1, 8)]
