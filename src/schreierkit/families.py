@@ -9,23 +9,30 @@ a family collect its members and lay the arrays out once.  All operations
 are pure; families are immutable after construction and safe to share
 between threads.
 
-Run norms come from one preorder branch-and-bound walk, :func:`run_norms`,
-which gives the family norm of every run support[:j] of a weighted support
-at once.  Member traces on a support come from one preorder walk too,
-:func:`trace_sums`, which yields each member's trace with int column sums
-over it and builds no row per set: :func:`best_set_sum` is the largest of
-those sums, :func:`find_uniform_trace` reads each member's count of points
-in a candidate set, and the trace, a hereditary family's restriction and
-the norming sets all read it with empty columns.
+Run norms come from one preorder branch-and-bound walk loop,
+:func:`_run_rows`.  :func:`run_norms` walks once from the root and gives
+the family norm of every run support[:j] of a weighted support at once.
+:func:`run_norm_rows` gives every run support[a:j], the block DP's rows, in
+one backward pass from the last position that keeps one record array from
+row to row, so row a walks only the members whose trace on support[a:]
+starts at a and prunes them against the norm of support[a + 1:].  Member
+traces on a support come from one preorder walk too, :func:`trace_sums`,
+which yields each member's trace with int column sums over it and builds
+no row per set: :func:`best_set_sum` is the largest of those sums,
+:func:`find_uniform_trace` reads each member's count of points in a
+candidate set, and the trace, a hereditary family's restriction and the
+norming sets all read it with empty columns.
 
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
 members inside a support M are the nodes whose path stays in M.  The trace
-walk then enters only the children whose label lies in M, and the
-run-norm walk only those that carry a weight; any other family takes the
-full walk.  The flag is a checked claim: ``Family(sets, hereditary=True)``
-refuses sets that are not closed under subsets, and only the constructors
-that build a closed family by construction set it unchecked.
+walk then enters only the children whose label lies in M, the run-norm
+walk only those that carry a weight, and row a of the backward pass only
+the subtree of the root child labelled support[a]; any other family takes
+the full walk.  The flag is a checked claim: ``Family(sets,
+hereditary=True)`` refuses sets that are not closed under subsets, and
+only the constructors that build a closed family by construction set it
+unchecked.
 
 Conventions
 -----------
@@ -548,31 +555,78 @@ def run_norms(family: Family, support: Sequence[int], weights: Sequence[int]) ->
     ``weights[q] >= 0`` is the int weight at ``support[q]`` (increasing);
     entry j - 1 of the result is best[j], the larger of the top weight on
     support[:j] and the max over members s of the weight s puts there, in
-    the weights' int units.  One preorder scan of the trie serves every run
-    end, for one row of the block DP.  It keeps, per depth, the running sum
-    of the node entered there, records each entered node's sum at its last
-    counted position r in ``at``, which starts as a copy of the weights (the
-    singletons), and returns the prefix max of ``at``.
+    the weights' int units.  It is one walk of :func:`_run_rows` from the
+    root, which serves every run end at once.
+    """
+    return _run_rows(family, support, weights, [(0, 1, len(family._label))])[0]
+
+
+def run_norm_rows(
+    family: Family, support: Sequence[int], weights: Sequence[int]
+) -> list[list[int]]:
+    """Row a is ``run_norms(family, support[a:], weights[a:])``, for every a.
+
+    The rows come from one backward pass of :func:`_run_rows`, row m - 1
+    first, with the records kept from row to row: row a is row a + 1
+    shifted by one position and raised by its own walk, which only the
+    members whose trace on support[a:] starts at position a can add to.  On
+    a hereditary family those traces are the members in the subtree of the
+    root child labelled support[a], found in one scan of the root's
+    children, so row a walks only that subtree; any other family walks from
+    the root on every row.
+    """
+    label, end = family._label, family._end
+    size = len(label)
+    last_first = range(len(support) - 1, -1, -1)
+    if family.hereditary_flag is True:
+        # subtree[e]: the first node and the end of the root child labelled e
+        subtree: dict[int, tuple[int, int]] = {}
+        c = 1
+        while c < size:
+            subtree[label[c]] = (c, end[c])
+            c = end[c]
+        walks = [(a, *subtree.get(support[a], (0, 0))) for a in last_first]
+    else:
+        walks = [(a, 1, size) for a in last_first]
+    return _run_rows(family, support, weights, walks)[::-1]
+
+
+def _run_rows(
+    family: Family,
+    support: Sequence[int],
+    weights: Sequence[int],
+    walks: Iterable[tuple[int, int, int]],
+) -> list[list[int]]:
+    """One row of run norms per walk ``(lo, i, stop)``: the walk over the
+    preorder nodes i..stop-1, then the prefix max of ``at[lo:]``.
+
+    One preorder scan keeps, per depth, the running sum of the node entered
+    there and records each entered node's sum at its last counted position r
+    in ``at``, which starts as a copy of the weights (the singletons) and is
+    kept across walks; positions below ``lo`` count for nothing.
 
     Recording every entered node is exact.  Every trie node lies on a
     member's path and weights are nonnegative, so a sum recorded at r is
-    reached on every run that holds position r: a node that is not a member
-    never overshoots.  Conversely the best member on a run has a prefix with
-    the same sum that ends at the run's last position it counts, and the
-    scan enters and records that prefix unless a cut passes it.
+    reached on every run from lo that holds position r: a node that is not a
+    member never overshoots, and neither does a record from an earlier walk
+    with a larger ``lo``.  Conversely the best member on a run has a prefix
+    with the same sum that ends at the run's last position it counts, and
+    the scan enters and records that prefix unless a cut passes it.  So row
+    lo is exact once its walk enters every member whose trace on
+    support[lo:] does not start later: the row of lo + 1, walked before it,
+    holds the others.
 
     A node is cut, with its later siblings, when its parent's sum plus the
     weight at positions q..m-1 is at most ``top``; q is the first position
-    with support[q] >= its label, and later siblings have larger labels.
-    ``top`` starts as the largest weight w_p and is raised to each larger
-    sum recorded.  Testing against ``top`` alone is exact because best[j]
-    >= top - ahead[j] for every run end j, where ahead[j] is the weight at
-    positions j..m-1.  If top is the sum of an entered path, that path's
-    part before j is recorded below j.  If top is w_p, either p < j and the
-    run holds it, or p >= j and top <= ahead[j].  That bounds every sum a
-    cut subtree puts on support[:j] for j > q; for j <= q it adds nothing
-    to its parent's.  The parent's sum never exceeds ``top``, so a node past
-    the support's maximum is always cut.
+    at or past lo with support[q] >= its label, and later siblings have
+    larger labels.  ``top`` starts as the largest record at or past lo and
+    is raised to each larger sum recorded.  Testing against ``top`` alone is
+    exact because best[j] >= top - ahead[j] for every run end j, where
+    ahead[j] is the weight at positions j..m-1: the part of a record before
+    j is on the run, and its part from j is at most ahead[j].  That bounds
+    every sum a cut subtree puts on support[lo:j] for j > q; for j <= q it
+    adds nothing to its parent's.  The parent's sum never exceeds ``top``,
+    so a node past the support's maximum is always cut.
 
     On a hereditary family a node that carries no weight (off the support,
     or of weight 0) is not entered at all: for any member s, its part that
@@ -585,36 +639,38 @@ def run_norms(family: Family, support: Sequence[int], weights: Sequence[int]) ->
     for q in range(m - 1, -1, -1):
         ahead[q] = ahead[q + 1] + weights[q]
     at = list(weights)
-    top = max(at, default=0)
     label, depth, end = family._label, family._depth, family._end
     bisect_left = bisect.bisect_left
     hereditary = family.hereditary_flag is True
     # acc[d], parent[d]: running sum and index of the entered node at depth d
     acc = [0] * (family._height + 1)
     parent = [0] * (family._height + 1)
-    i, size = 1, len(label)
-    while i < size:
-        d = depth[i]
-        e = label[i]
-        a = acc[d - 1]
-        r = bisect_left(support, e)
-        if a + ahead[r] <= top:
-            i = end[parent[d - 1]]
-            continue
-        w = weights[r] if support[r] == e else 0
-        if w:
-            a += w
-            if a > at[r]:
-                at[r] = a
-                if a > top:
-                    top = a
-        elif hereditary:
-            i = end[i]
-            continue
-        acc[d] = a
-        parent[d] = i
-        i += 1
-    return list(itertools.accumulate(at, max))
+    rows = []
+    for lo, i, stop in walks:
+        top = max(at[lo:], default=0)
+        while i < stop:
+            d = depth[i]
+            e = label[i]
+            a = acc[d - 1]
+            r = bisect_left(support, e, lo)
+            if a + ahead[r] <= top:
+                i = end[parent[d - 1]]
+                continue
+            w = weights[r] if support[r] == e else 0
+            if w:
+                a += w
+                if a > at[r]:
+                    at[r] = a
+                    if a > top:
+                        top = a
+            elif hereditary:
+                i = end[i]
+                continue
+            acc[d] = a
+            parent[d] = i
+            i += 1
+        rows.append(list(itertools.accumulate(at[lo:], max)))
+    return rows
 
 
 class PartitionMeasure:

@@ -7,11 +7,17 @@ The central object is the family norm
 computed exactly in rationals by branch-and-bound on the family trie.  The
 block-aggregated (Baernstein-style) norm, epsilon-support families, uniform
 weak bounds, spreading-model constants (via exact LP) and Cesaro profiles
-are all derived from it.  Both norms take run norms from one trie walk,
-:func:`~schreierkit.families.run_norms`, which gives the norm of every run
-support[i:j] of a row i at once, the sup-norm included: ``f_norm`` reads
-the last run of row 0, and the block norm's interval DP reads every run of
-every row, one walk per row, not one per run.
+are all derived from it.  Both norms take run norms, the sup-norm
+included, from one trie walk loop.  ``f_norm`` reads the last run of
+:func:`~schreierkit.families.run_norms`, one walk from the root.  The block
+norm's interval DP reads every run support[i:j] of
+:func:`~schreierkit.families.run_norm_rows`, one backward pass over the
+support: row i is row i + 1 shifted by one position and raised by a walk of
+only the members whose trace on support[i:] starts at i, pruned against
+the norm of support[i + 1:].  That is exact for every family, as row i's
+norm at each end j is at least row i + 1's, which is at least that norm
+less the weight from j on; on a hereditary family the walk is the subtree
+of the root child labelled support[i].
 
 Exactness policy: everything is rational; p-th roots are deferred to output
 formatting (:func:`float_root`).  For integer p the p-powered block norm is
@@ -46,6 +52,7 @@ from .families import (
     finite_set,
     maximal_mask,
     norming_sets,
+    run_norm_rows,
     run_norms,
     trace_sums,
 )
@@ -120,17 +127,15 @@ def _block_dp(
 
     ``weights`` are the |x_k| at ``support`` scaled to ints over one common
     scale; r is the family norm of a run support[i:j] in those units.
-    Row i of the DP is :func:`~schreierkit.families.run_norms` on
-    support[i:], every run starting at i from one walk of the family trie,
-    so a support of size m costs m walks, not m(m+1)/2.  Each cell is powered
-    once, and the DP adds and compares what ``power`` returns: ints for an
-    integer p, floats for any other.
+    Row i of the DP, every run starting at i, comes from one backward pass,
+    :func:`~schreierkit.families.run_norm_rows`: row i is row i + 1 raised
+    by a walk of only the members whose trace on support[i:] starts at i,
+    pruned against the norm of support[i + 1:].  Each cell is powered once,
+    and the DP adds and compares what ``power`` returns: ints for an integer
+    p, floats for any other.
     """
     # cells[i][j - i - 1] is power(r) for the run support[i:j]
-    cells = [
-        [power(r) for r in run_norms(family, support[i:], weights[i:])]
-        for i in range(len(support))
-    ]
+    cells = [[power(r) for r in row] for row in run_norm_rows(family, support, weights)]
     # best[j]: largest sum over cuts of support[:j]; best[0] is the empty sum
     best = [power(0)]
     for j in range(1, len(support) + 1):

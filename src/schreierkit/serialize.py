@@ -5,7 +5,8 @@ families as {"sets": [[1,2],[3]], "hereditary": true|false|null};
 partition measures as {"pieces": [...], "weights": [["1/2", ...], ...]};
 vectors as {"coords": [[3, "1/2"], [5, "-2/3"]]}; family parameters as
 {"lambda": "1/2", "window_max": 7, "seed": 12345} with an optional
-"radices" override table.
+"radices" override table, which must give a radix for every m in
+4..window_max.
 """
 
 from __future__ import annotations
@@ -153,6 +154,12 @@ def tparams_from_obj(obj: dict) -> tuple[TParams, Optional[int]]:
             if not _is_int(r) or r < 1:
                 raise ValueError(f'"radices": r_{m} = {r!r} is not an integer >= 1')
         radices = {int(m): r for m, r in radices.items()}
+        # the radices are not checked against lambda, so a wrong table still
+        # runs as a negative control; a table with a gap in 4..window_max is
+        # refused here, in every mode, and the scan stops at its first gap
+        missing = next((m for m in range(4, window_max + 1) if m not in radices), None)
+        if missing is not None:
+            raise ValueError(f'"radices": no radix for m = {missing} (window_max = {window_max})')
     seed = obj.get("seed")
     if seed is not None and not _is_int(seed):
         raise ValueError(f'bad "seed": {seed!r}')

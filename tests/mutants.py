@@ -49,6 +49,9 @@ EPS_SCAN = "tests/test_norms.py::test_eps_supports_match_the_per_set_scan"
 TRACE_DEFINITION = "tests/test_families.py::test_trace_matches_member_by_member_definition"
 TRANSVERSAL_SCAN = "tests/test_tfamily.py::test_transversal_queries_match_barrier_scans"
 CERTIFICATE = "tests/test_interpolation.py::test_a_row_left_out_wrongly_fails_the_norm_certificate"
+BLOCK_ROWS = "tests/test_families.py::test_block_rows_match_the_per_row_walks"
+LP = "src/schreierkit/lp.py"
+LP_LAYER = "tests/test_parity.py::test_lp_layer"
 
 MUTANTS = (
     # the eps-support walk's branch-and-bound (norms._eps_supports)
@@ -135,9 +138,11 @@ MUTANTS = (
         "    if False:\n",
         ("tests/test_norms.py::test_float_root_below_float_range",),
     ),
-    # the run norms (families.run_norms, best_set_sum); the singleton seed
-    # is the sup part of every norm, the block DP's and the transversal
-    # norms' too, so each of those tests must see it go
+    # the run norms (families._run_rows, behind run_norms and the block
+    # DP's run_norm_rows); the singleton seed is the sup part of every norm,
+    # the block DP's rows and the transversal norms' too, so each of those
+    # tests must see it go (the per-row oracle walks the same loop, so the
+    # block rows are checked against brute force here)
     Mutant(
         "run-norms-singletons-unseeded",
         FAMILIES,
@@ -159,6 +164,28 @@ MUTANTS = (
         "    at = [0] * m\n",
         (TRANSVERSAL_SCAN,),
     ),
+    # the block DP's backward pass (families.run_norm_rows)
+    Mutant(
+        "block-rows-top-above-the-next-row",
+        FAMILIES,
+        "        top = max(at[lo:], default=0)\n",
+        "        top = max(at, default=0)\n",
+        (BLOCK_ROWS, "tests/test_norms.py::test_block_rows_match_segment_norms"),
+    ),
+    Mutant(
+        "block-rows-merge-with-the-next-row-dropped",
+        FAMILIES,
+        "    for lo, i, stop in walks:\n",
+        "    for lo, i, stop in walks:\n        at = list(weights)\n",
+        (BLOCK_ROWS, "tests/test_norms.py::test_block_rows_match_segment_norms"),
+    ),
+    Mutant(
+        "block-rows-jump-to-the-next-root-child",
+        FAMILIES,
+        "subtree.get(support[a], (0, 0))",
+        "subtree.get(support[min(a + 1, len(support) - 1)], (0, 0))",
+        (BLOCK_ROWS, "tests/test_norms.py::test_block_rows_match_segment_norms"),
+    ),
     Mutant(
         "best-set-sum-empty-member-dropped",
         FAMILIES,
@@ -179,7 +206,7 @@ MUTANTS = (
         FAMILIES,
         "sorted({s for s in _traces(family, support) if len(s) >= 2})",
         "[s for s in _traces(family, support) if len(s) >= 2]",
-        ("tests/test_families.py::test_hereditary_walks_match_brute_force_and_the_full_walk",),
+        (TRACE_DEFINITION, "tests/test_families.py::test_hereditary_walks_match_brute_force_and_the_full_walk"),
     ),
     Mutant(
         "restrict-hereditary-flag-dropped",
@@ -240,6 +267,35 @@ MUTANTS = (
         "    bound = res.objective\n",
         (CERTIFICATE,),
     ),
+    # the one-tableau simplex (lp.solve_lp)
+    Mutant(
+        "simplex-pivot-out-loop-dropped",
+        LP,
+        "        for i in range(m):\n            if basis[i] in artificials:\n",
+        "        for i in range(0):\n            if basis[i] in artificials:\n",
+        (LP_LAYER, "tests/test_vectors_lp.py"),
+    ),
+    Mutant(
+        "simplex-pivot-out-on-the-last-column",
+        LP,
+        "                    (j for j in range(ncols)\n                     if j not in artificials",
+        "                    (j for j in reversed(range(ncols))\n                     if j not in artificials",
+        (LP_LAYER,),
+    ),
+    Mutant(
+        "simplex-phase-1-costs-all-one",
+        LP,
+        "            costs1[unit_col[i]] = unit // scales[i]\n",
+        "            costs1[unit_col[i]] = 1\n",
+        (LP_LAYER,),
+    ),
+    Mutant(
+        "simplex-ratio-ties-to-the-larger-basis-index",
+        LP,
+        "(left == right and basis[i] < basis[leave])",
+        "(left == right and basis[i] > basis[leave])",
+        (LP_LAYER,),
+    ),
     # the counterexample family's parameters and norms (cli, tfamily)
     Mutant(
         "config-radices-dropped-by-a-flag",
@@ -252,6 +308,13 @@ MUTANTS = (
             "tests/test_serialize_cli.py::test_cli_tfamily_flags_keep_the_config_radices",
             "tests/test_serialize_cli.py::test_cli_tfamily_window_past_the_config_radices_is_refused",
         ),
+    ),
+    Mutant(
+        "radices-short-table-accepted",
+        "src/schreierkit/serialize.py",
+        "        if missing is not None:\n",
+        "        if False:\n",
+        ("tests/test_serialize_cli.py::test_cli_tfamily_short_radix_table_is_refused_in_every_mode",),
     ),
     Mutant(
         "radius-off-by-one",

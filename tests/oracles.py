@@ -8,7 +8,8 @@ The stdlib-only oracles that ``schreierkit verify`` also runs live in
 oracles below use the ordinal arithmetic, and the linear-program oracle
 (every vertex visited) serves only the LP tests, so they stay with the tests.
 The one exception is :func:`block_dp_fractions`, the block norm's DP with
-a ``Fraction`` per cell, kept as the reference for its float path.
+a ``Fraction`` per cell, kept as the reference for its float path, with its
+rows by :func:`per_row_run_norms`, one trie walk per row.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ def eps_supports_per_set(xs, family, eps):
             )
 
 
+def per_row_run_norms(family, support, weights):
+    """Row i of the block DP by a walk of its own: ``run_norms`` on
+    support[i:], from the root, with nothing carried over from row i + 1."""
+    return [run_norms(family, support[i:], weights[i:]) for i in range(len(support))]
+
+
 def block_dp_fractions(x, family, power):
     """The block norm's interval DP with one ``Fraction`` per cell.
 
@@ -90,7 +97,7 @@ def block_dp_fractions(x, family, power):
     support = x.support
     ints, scale = int_scaled(v for _, v in x.items())
     weights = list(map(abs, ints))
-    runs = [run_norms(family, support[i:], weights[i:]) for i in range(len(support))]
+    runs = per_row_run_norms(family, support, weights)
     # best[j]: largest sum of power(||run||_F) over cuts of support[:j] into runs;
     # best[0] = power(0) is the empty sum in the caller's number type
     best = [power(Fraction(0))]

@@ -26,12 +26,13 @@ from schreierkit import (
     schreier_family,
     trace,
 )
-from schreierkit.families import maximal_mask, norming_sets, run_norms, trace_sums
+from schreierkit.families import maximal_mask, norming_sets, run_norm_rows, run_norms, trace_sums
 
 from oracles import (
     all_subsets,
     block_decomposable,
     family_norm_brute,
+    per_row_run_norms,
     trace_brute,
     uniform_trace_brute,
 )
@@ -116,6 +117,8 @@ def test_trace_examples():
 @given(sets_strategy, st.frozensets(st.integers(1, 9), max_size=5))
 @example([frozenset()], frozenset({1}))
 @example([frozenset({7, 8}), frozenset({1, 3}), frozenset({3, 9})], frozenset({1, 2}))
+# two members share a trace of two elements, and the first is the longer
+@example([frozenset({1, 2, 3}), frozenset({2, 3})], frozenset({2, 3}))
 def test_trace_matches_member_by_member_definition(sets, m):
     f = Family(sets)
     assert trace(f, m) == Family({tuple(e for e in s if e in m) for s in f})
@@ -217,6 +220,43 @@ def test_trace_sums_skips_the_subtree_of_a_member_sent_true(sets, closed, suppor
         got.append((t, sums))
         skip = len(t) >= k
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(1, 10), min_size=1, max_size=5), max_size=8),
+    st.booleans(),
+    st.dictionaries(st.integers(1, 11), st.integers(0, 9), max_size=8),
+)
+# zero weights on the first two positions, and on the last one
+@example([frozenset({1, 3}), frozenset({2, 5})], False, {1: 0, 2: 0, 3: 4, 5: 2})
+@example([frozenset({2, 4})], True, {2: 3, 4: 0})
+# row 0's best member {2, 4} lies under the root child 2, between the
+# children 1 and 3, which carry no weight
+@example([frozenset({2, 4}), frozenset({3}), frozenset({1, 5})], False, {2: 2, 4: 2, 5: 1, 6: 3})
+# row a's best run needs a member that starts at a later position, and a
+# heavy weight before a must not prune row a's walk
+@example([frozenset({2, 3})], False, {1: 1, 2: 1, 3: 1})
+@example([frozenset({2, 3}), frozenset({1})], False, {1: 9, 2: 1, 3: 1})
+# the support past every label, and no weight at all
+@example([frozenset({1, 2})], True, {7: 1, 9: 2})
+@example([frozenset({1, 2})], False, {})
+def test_block_rows_match_the_per_row_walks(sets, with_empty, weights):
+    members = [tuple(sorted(s)) for s in sets] + [()] * with_empty
+    closed = hereditary_closure(Family(members))
+    support = sorted(weights)
+    ws = [weights[e] for e in support]
+    families = [
+        Family(members),
+        Family(members, hereditary=False),
+        # the closure takes the backward pass's root-child jump, its copies the root walks
+        closed,
+        Family(closed.members()),
+        Family([], hereditary=True),
+        Family([[]], hereditary=True),
+    ]
+    for fam in families:
+        assert run_norm_rows(fam, support, ws) == per_row_run_norms(fam, support, ws)
 
 
 def test_oplus_order_and_empty_convention():

@@ -31,7 +31,7 @@ from schreierkit import (
 )
 
 from schreierkit import norms
-from schreierkit.families import is_hereditary, norming_sets, run_norms
+from schreierkit.families import is_hereditary, norming_sets, run_norm_rows
 from schreierkit.lp import solve_lp
 from schreierkit.norms import float_root
 
@@ -252,11 +252,12 @@ def test_block_rows_match_segment_norms(members, coords, zeroed):
     support = x.support
     scale = math.lcm(*(v.denominator for v in coords.values() if v))
     weights = [abs(v.numerator) * (scale // v.denominator) for _, v in x.items()]
-    # the closure takes the hereditary row walk, which never leaves the support
+    # the closure's rows walk one root child's subtree each, on weighted labels only
     for fam in (Family(members), hereditary_closure(Family(members))):
         for ws in (weights, [0 if q in zeroed else w for q, w in enumerate(weights)]):
-            for i in range(len(support)):
-                row = run_norms(fam, support[i:], ws[i:])
+            rows = run_norm_rows(fam, support, ws)
+            assert len(rows) == len(support)
+            for i, row in enumerate(rows):
                 assert len(row) == len(support) - i
                 for j, total in enumerate(row, start=i + 1):
                     segment = {support[q]: Fraction(ws[q], scale) for q in range(i, j)}

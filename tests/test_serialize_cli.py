@@ -387,6 +387,14 @@ def test_cli_tfamily_window_past_the_config_radices_is_refused(tmp_path, capsys)
     assert "m = 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["build", "sample", "verify", "report"])
+def test_cli_tfamily_short_radix_table_is_refused_in_every_mode(tmp_path, capsys, mode):
+    # sample never reads r_8, but the table cannot build the family's window
+    cfg = write(tmp_path, "cfg.json", {"radices": {"4": 2, "5": 5, "6": 10, "7": 15}})
+    assert main(["tfamily", mode, "--config", cfg, "--window-max", "9", "--n", "5"]) == 2
+    assert "no radix for m = 8" in capsys.readouterr().err
+
+
 def test_cli_tfamily_report_mode(tmp_path):
     cfg = write(tmp_path, "cfg.json", {"lambda": "1/2", "window_max": 6, "seed": 2})
     out = str(tmp_path / "report.json")
