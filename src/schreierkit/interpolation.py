@@ -29,6 +29,23 @@ from .vectors import Rational, SparseVector
 
 DEFAULT_TOLERANCE = Fraction(1, 2**30)
 
+#: the largest gauge level, and the largest ``n_max`` of :func:`dfjp_norm`.
+#: The gauge LP holds 2^level and 2^-level exactly, so its pivots work on
+#: ints of about level bits: on S_1(1..12) and 9 coordinates one gauge takes
+#: 0.2 s at level 256 and 9 s at 4096, and levels near 10^7 run for
+#: minutes.  Past the cap the tail bound 2^(-p (n + 1)) ||x||_1^p of
+#: :func:`dfjp_norm` is below 2^-512 of ||x||_1^p, which no float shows.
+MAX_LEVEL = 256
+
+
+def _check_level(level: int, name: str = "level") -> None:
+    if not isinstance(level, int):
+        raise ValueError(f"{name} must be an int, got {level!r}")
+    if level < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if level > MAX_LEVEL:
+        raise ValueError(f"{name} {level} is past the cap of {MAX_LEVEL}")
+
 
 class _GaugeFields(NamedTuple):
     x: SparseVector
@@ -38,7 +55,7 @@ class _GaugeFields(NamedTuple):
 
 
 class GaugeProblem(_GaugeFields):
-    """One gauge evaluation: vector, level n, family.
+    """One gauge evaluation: vector, level n (an int in 0..``MAX_LEVEL``), family.
 
     ``tolerance`` is validated but ignored: the gauge is computed exactly.
     """
@@ -47,8 +64,7 @@ class GaugeProblem(_GaugeFields):
 
     def __new__(cls, *args, **kwargs) -> "GaugeProblem":
         self = super().__new__(cls, *args, **kwargs)
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
+        _check_level(self.level)
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         return self
@@ -62,8 +78,10 @@ def inner_distance(
     With y = lam*w this is the least ||z||_F over splits x = y + z with
     ||y||_1 <= 2^level |lam|; by the sign-alignment argument of the module
     docstring the variables are z_k = |x_k| - |y_k| in [0, |x_k|], one per
-    support coordinate of x, and t, the norm value.
+    support coordinate of x, and t, the norm value.  ``level`` is an int in
+    0..``MAX_LEVEL``.
     """
+    _check_level(level)
     return _distance_lp(x, family, level, lam)
 
 
@@ -182,7 +200,8 @@ def dfjp_norm(
     ``powered_hi - powered_lo == tail_powered``; the remainder is bounded
     through the l1 overestimate of the gauge.  Only integer p > 1 is
     supported exactly, below the cap of :func:`~schreierkit.norms.power_weights`,
-    checked before any LP.  ``tolerance`` is validated but ignored.
+    and ``n_max`` runs up to ``MAX_LEVEL``; both are checked before any LP.
+    ``tolerance`` is validated but ignored.
     """
     p = Fraction(p)
     if p <= 1:
@@ -192,6 +211,7 @@ def dfjp_norm(
     pint = p.numerator
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_level(n_max, "n_max")
     if not x:
         zero = Fraction(0)
         return DfjpNormResult((), zero, zero, zero, pint)

@@ -8,18 +8,30 @@ terminates on every input.  Problems are stated as
 Entries may be ints or ``Fraction``s, read as they are; any other entry
 goes through ``Fraction`` first.  The tableau holds Python ints.  Each row
 with its rhs, and the cost vector, is scaled once by the lcm of its
-denominators, and pivots are fraction-free Gauss-Jordan steps (Edmonds 1967,
-Bareiss 1968): with one common denominator d for the whole tableau, a pivot
-on p replaces row i by (p * row_i - row_i[s] * pivot_row) / d, a division
-that is always exact, and then sets d = p.  The cost row is the tableau's
-last row, so every pivot updates it with the others.  Ratio tests compare by
-cross-multiplication, so the pivot sequence is the one Bland's rule takes in
-exact rationals.  No float is used anywhere.
+denominators.  The tableau is condensed (Tucker's form, as in the lrs
+method of Avis and Fukuda 1992): one row per basic variable plus the cost
+row, one column per nonbasic variable plus the rhs, with ``basis[i]`` and
+``cols[j]`` naming the variable of each row and column.  Pivots are
+fraction-free (Edmonds 1967, Bareiss 1968) with one common denominator d
+for the whole tableau.  A pivot on p = T[r][s] replaces every other row i
+by (p T[i][j] - T[i][s] T[r][j]) / d for j != s, a division that is always
+exact, and T[i][s] by -T[i][s]; row r keeps its entries except T[r][s] = d.
+Then d = p (the tableau is negated if p < 0) and the entering and leaving
+variables swap places.  This is the dense pivot with the basic columns,
+d times a unit vector, left implicit, so every pivot costs m (n' + 1)
+products for n' nonbasic columns instead of m (n' + m + 1).  Bland's rule
+picks by variable id: the least nonbasic id with a negative reduced cost
+enters, and ratio ties leave by the least basic id.  Ratio tests compare
+by cross-multiplication, so the pivot sequence is the one Bland's rule
+takes in exact rationals.  No float is used anywhere.
 
 Every "optimal" result carries a dual vector and is verified exactly
 against every row (primal feasibility, dual feasibility, and equality of the
-two objectives).  The check runs in ints, on the scaled rows and on the
-certificate as the tableau leaves it: x = X/d and y_i = Y_i scale_i /
+two objectives).  Row i's dual is the reduced cost of its slack or
+artificial: the cost row at that variable's column while it is nonbasic,
+and 0 while it is basic, so the artificials keep their columns in phase 2,
+barred from entering.  The check runs in ints, on the scaled rows and on
+the certificate as the tableau leaves it: x = X/d and y_i = Y_i scale_i /
 (d cscale), with scale_i the scale of row i and cscale that of the costs.
 Only then are x, the duals and both objectives read back as ``Fraction``s,
 with the scales undone.  A failed check raises :class:`LPCertificateError`,
@@ -78,40 +90,45 @@ def solve_lp(
         scales.append(scale)
     m = len(scaled)
     flips = [-1 if row[-1] < 0 else 1 for row in scaled]
-    # column layout: x, one slack per ub row, then one artificial per row
+    # variable ids: x, one slack per ub row, then one artificial per row
     # that needs one: equalities, and rows flipped to a nonnegative rhs (a
     # flipped slack has coefficient -1, unusable as an initial basis).
     # unit_col[i] is row i's artificial if it has one, else its slack: the
-    # column with a 1 in row i and 0 elsewhere, so it starts basic there.
+    # variable with a 1 in row i and 0 elsewhere, so it starts basic there.
+    # Ids n_real and up are the artificials.
+    n_real = n + n_ub
     arts = [i for i in range(m) if i >= n_ub or flips[i] < 0]
     unit_col = [n + i for i in range(m)]
     for k, i in enumerate(arts):
-        unit_col[i] = n + n_ub + k
-    ncols = n + n_ub + len(arts)
-    artificials = set(range(n + n_ub, ncols))
+        unit_col[i] = n_real + k
+    nvars = n_real + len(arts)
 
-    # The tableau holds ints, rhs last.  Row i < m is the scaled row, flipped;
-    # its slack and artificial keep coefficients +-1 and 1, so they stand
-    # for scales[i] times the original slack and artificial.  Row m, once
-    # set, is the cost row: d times the reduced costs, and -d times the
-    # objective value in the rhs slot.
+    # The condensed tableau holds ints: row i < m for the basic variable
+    # basis[i], column j for the nonbasic variable cols[j], rhs last; the
+    # basic columns, d times a unit vector, are left implicit.  col_of[v]
+    # is the column of a nonbasic v and -1 for a basic one.  Row i < m is
+    # the scaled row, flipped; its slack and artificial keep coefficients
+    # +-1 and 1, so they stand for scales[i] times the original slack and
+    # artificial.  Row m, once set, is the cost row: d times the reduced
+    # costs, and -d times the objective value in the rhs slot.
+    basis = list(unit_col)
+    cols = [*range(n), *(n + i for i in range(n_ub) if flips[i] < 0)]
+    col_of = [-1] * nvars
+    for j, v in enumerate(cols):
+        col_of[v] = j
     tableau: list[list[int]] = []
     for i, ints in enumerate(scaled):
         f = flips[i]
-        row = [f * v for v in ints[:-1]] + [0] * (ncols - n) + [f * ints[-1]]
-        if i < n_ub:
-            row[n + i] = f
-        row[unit_col[i]] = 1
+        row = [f * ints[v] if v < n else f * (v == n + i) for v in cols]
+        row.append(f * ints[-1])
         tableau.append(row)
-
-    basis = list(unit_col)
     # fraction-free (Edmonds/Bareiss) state: the current canonical tableau is
     # tableau / d, and every pivot divides exactly by the previous pivot d
     d = 1
     pivots = [0, 0]
 
     def set_objective(costs: list[int]) -> None:
-        obj = [d * v for v in costs] + [0]
+        obj = [d * costs[v] for v in cols] + [0]
         for i, b in enumerate(basis):
             cb = costs[b]
             if cb:
@@ -120,91 +137,108 @@ def solve_lp(
                         obj[j] -= cb * v
         tableau[m:] = [obj]
 
-    def pivot(pi: int, pj: int, phase: int) -> None:
+    def pivot(r: int, s: int, phase: int) -> None:
+        # the dense pivot with the basic columns left implicit: every other
+        # row becomes (p * row - f * prow) / d, f its entry in column s, which
+        # then holds the leaving variable, -f there; the pivot row keeps its
+        # entries but holds d there
         nonlocal d
-        prow = tableau[pi]
-        p = prow[pj]
-        # the tableau is mostly zeros: scale every entry, then combine with
-        # the pivot row only where it is nonzero
-        nonzero = [j for j, b in enumerate(prow) if b]
+        prow = tableau[r]
+        p = prow[s]
+        # with p == d a row changes only where the pivot row is nonzero, by
+        # f * prow[j] / d, which is exact too; gauge LPs pivot so often on
+        # p == d with a sparse pivot row that this halves their larger solves
+        nonzero = [j for j, b in enumerate(prow) if b] if p == d else ()
         for i, row in enumerate(tableau):
-            f = row[pj]
-            if i == pi or (not f and p == d):
+            f = row[s]
+            if i == r or (not f and p == d):
                 continue
-            new = [a * p // d if a else 0 for a in row] if p != d else list(row)
-            if f:
+            if not f:
+                new = [a * p // d if a else 0 for a in row]
+            elif p == d:
+                new = list(row)
                 for j in nonzero:
-                    new[j] = (p * row[j] - f * prow[j]) // d
+                    new[j] -= f * prow[j] // d
+            else:
+                new = [(p * a - f * b) // d for a, b in zip(row, prow)]
+            new[s] = -f
             tableau[i] = new
+        prow[s] = d
         d = p
         if d < 0:
             # only a phase-1 pivot-out pivots on a negative entry
             d = -d
             for i, row in enumerate(tableau):
                 tableau[i] = [-v for v in row]
-        basis[pi] = pj
+        entering, leaving = cols[s], basis[r]
+        cols[s], basis[r] = leaving, entering
+        col_of[leaving], col_of[entering] = s, -1
         pivots[phase] += 1
 
-    def run(barred: set[int], phase: int) -> str:
+    def run(limit: int, phase: int) -> str:
+        # Bland's rule on variable ids below limit: the least nonbasic id
+        # with a negative reduced cost enters
         while True:
             obj = tableau[m]
-            enter = next((j for j in range(ncols) if j not in barred and obj[j] < 0), -1)
+            enter = min((v for v, o in zip(cols, obj) if o < 0 and v < limit), default=-1)
             if enter < 0:
                 return "optimal"
+            s = col_of[enter]
             # Bland's ratio test, rhs_i / a_i compared by cross-multiplication
             leave = -1
             for i in range(m):
-                a = tableau[i][enter]
+                a = tableau[i][s]
                 if a > 0:
                     if leave < 0:
                         leave = i
                         continue
-                    left = tableau[i][-1] * tableau[leave][enter]
+                    left = tableau[i][-1] * tableau[leave][s]
                     right = tableau[leave][-1] * a
                     if left < right or (left == right and basis[i] < basis[leave]):
                         leave = i
             if leave < 0:
                 return "unbounded"
-            pivot(leave, enter, phase)
+            pivot(leave, s, phase)
 
     # phase 1: drive artificial variables to zero; the artificial of row i
     # costs 1/scales[i], i.e. 1 per unit of the original artificial
     if arts:
-        costs1 = [0] * ncols
+        costs1 = [0] * nvars
         unit = math.lcm(*(scales[i] for i in arts))
         for i in arts:
             costs1[unit_col[i]] = unit // scales[i]
         set_objective(costs1)
-        if run(set(), 0) != "optimal" or tableau[m][-1] < 0:
+        if run(nvars, 0) != "optimal" or tableau[m][-1] < 0:
             return LPResult("infeasible", None, None, None, None, None, tuple(pivots))
         # pivot out artificials still basic (at value zero), so phase 2 can
-        # never move them; a row with no real column is redundant and inert.
-        # These pivots update the phase-1 cost row too, which phase 2 replaces
+        # never move them: on the least real nonbasic id with a nonzero
+        # entry; a row with none is redundant and inert.  These pivots
+        # update the phase-1 cost row too, which phase 2 replaces
         for i in range(m):
-            if basis[i] in artificials:
-                piv = next(
-                    (j for j in range(ncols)
-                     if j not in artificials and tableau[i][j] != 0),
-                    None,
-                )
-                if piv is not None:
-                    pivot(i, piv, 0)
+            if basis[i] >= n_real:
+                piv = min((v for v, a in zip(cols, tableau[i]) if a and v < n_real), default=-1)
+                if piv >= 0:
+                    pivot(i, col_of[piv], 0)
 
+    # phase 2 bars the artificials from entering; their columns stay, as
+    # the duals of the rows they belong to are read from them
     costs2, cscale = int_scaled(c)
-    set_objective(costs2 + [0] * (ncols - n))
-    if run(artificials, 1) != "optimal":
+    set_objective(costs2 + [0] * (nvars - n))
+    if run(n_real, 1) != "optimal":
         return LPResult("unbounded", None, None, None, None, None, tuple(pivots))
 
     # the certificate in ints, as the tableau leaves it: x = X/d, objective
     # value/(d cscale), and y_i = Y_i scales[i]/(d cscale), with -flips[i] Y_i
-    # the cost row at row i's unit column (scales[i] times the original
-    # slack or artificial, so y_i takes the row scale back)
+    # the reduced cost of row i's unit variable (scales[i] times the original
+    # slack or artificial, so y_i takes the row scale back): the cost row at
+    # its column if it is nonbasic, and 0 if it is basic
+    obj = tableau[m]
     xs = [0] * n
     for i, b in enumerate(basis):
         if b < n:
             xs[b] = tableau[i][-1]
-    value = -tableau[m][-1]
-    ys = [-flips[i] * tableau[m][unit_col[i]] for i in range(m)]
+    value = -obj[-1]
+    ys = [-f * obj[j] if j >= 0 else 0 for f, j in zip(flips, (col_of[u] for u in unit_col))]
     dual_value = _certify(costs2, scaled[:n_ub], scaled[n_ub:], xs, d, value, ys[:n_ub], ys[n_ub:])
 
     den = d * cscale

@@ -10,7 +10,9 @@ exactly once in its file, and runs the mutant's tests there with pytest.
 The copy takes the ini too: its ``pythonpath = ["src"]`` goes first on
 ``sys.path``, so the tests import the mutated copy and not a ``src`` that
 ``PYTHONPATH`` names.  The tests are first run once on an unmutated copy,
-so a test that fails anyway cannot count as a kill.  The script exits 1
+so a test that fails anyway cannot count as a kill.  Tests that run past
+the mutant's timeout (``TIMEOUT`` unless its record names a shorter one,
+for a mutant that makes the code loop) kill it too.  The script exits 1
 when a mutant survives or its text does not match exactly once, and 0 when
 every mutant is killed.  Stdlib only; pytest does not collect this file.
 
@@ -40,6 +42,7 @@ class Mutant(NamedTuple):
     old: str
     new: str
     tests: tuple[str, ...]  # pytest node ids relative to the repository root
+    timeout: int = TIMEOUT  # seconds its tests may take before it counts as killed
 
 
 NORMS = "src/schreierkit/norms.py"
@@ -52,6 +55,8 @@ CERTIFICATE = "tests/test_interpolation.py::test_a_row_left_out_wrongly_fails_th
 BLOCK_ROWS = "tests/test_families.py::test_block_rows_match_the_per_row_walks"
 LP = "src/schreierkit/lp.py"
 LP_LAYER = "tests/test_parity.py::test_lp_layer"
+LP_VECTORS = "tests/test_vectors_lp.py"
+LP_DENSE = "tests/test_vectors_lp.py::test_lp_results_match_the_dense_tableau"
 
 MUTANTS = (
     # the eps-support walk's branch-and-bound (norms._eps_supports)
@@ -141,8 +146,7 @@ MUTANTS = (
     # the run norms (families._run_rows, behind run_norms and the block
     # DP's run_norm_rows); the singleton seed is the sup part of every norm,
     # the block DP's rows and the transversal norms' too, so each of those
-    # tests must see it go (the per-row oracle walks the same loop, so the
-    # block rows are checked against brute force here)
+    # tests must see it go, the per-row test against its member scans too
     Mutant(
         "run-norms-singletons-unseeded",
         FAMILIES,
@@ -156,6 +160,13 @@ MUTANTS = (
         "    at = list(weights)\n",
         "    at = [0] * m\n",
         ("tests/test_norms.py::test_block_rows_match_segment_norms",),
+    ),
+    Mutant(
+        "block-rows-singletons-unseeded",
+        FAMILIES,
+        "    at = list(weights)\n",
+        "    at = [0] * m\n",
+        (BLOCK_ROWS,),
     ),
     Mutant(
         "transversal-sup-floor-dropped",
@@ -267,19 +278,19 @@ MUTANTS = (
         "    bound = res.objective\n",
         (CERTIFICATE,),
     ),
-    # the one-tableau simplex (lp.solve_lp)
+    # the condensed-tableau simplex (lp.solve_lp)
     Mutant(
         "simplex-pivot-out-loop-dropped",
         LP,
-        "        for i in range(m):\n            if basis[i] in artificials:\n",
-        "        for i in range(0):\n            if basis[i] in artificials:\n",
-        (LP_LAYER, "tests/test_vectors_lp.py"),
+        "        for i in range(m):\n            if basis[i] >= n_real:\n",
+        "        for i in range(0):\n            if basis[i] >= n_real:\n",
+        (LP_LAYER, LP_VECTORS),
     ),
     Mutant(
         "simplex-pivot-out-on-the-last-column",
         LP,
-        "                    (j for j in range(ncols)\n                     if j not in artificials",
-        "                    (j for j in reversed(range(ncols))\n                     if j not in artificials",
+        "piv = min((v for v, a in zip(cols, tableau[i]) if a and v < n_real), default=-1)",
+        "piv = max((v for v, a in zip(cols, tableau[i]) if a and v < n_real), default=-1)",
         (LP_LAYER,),
     ),
     Mutant(
@@ -295,6 +306,32 @@ MUTANTS = (
         "(left == right and basis[i] < basis[leave])",
         "(left == right and basis[i] > basis[leave])",
         (LP_LAYER,),
+    ),
+    Mutant(
+        "simplex-leaving-column-sign-kept",
+        LP,
+        "            new[s] = -f\n",
+        "            new[s] = f\n",
+        (LP_LAYER, LP_DENSE),
+        # the leaving variable re-enters at once, so every solve that takes
+        # two pivots cycles; unmutated, these tests take a few seconds
+        timeout=60,
+    ),
+    Mutant(
+        "simplex-pivot-row-entry-p-not-d",
+        LP,
+        "        prow[s] = d\n",
+        "        prow[s] = p\n",
+        (LP_LAYER, LP_DENSE),
+    ),
+    # a variable that enters keeps its old column in col_of, so a basic
+    # unit variable's dual is read from that stale column instead of 0
+    Mutant(
+        "simplex-basic-unit-dual-from-a-stale-column",
+        LP,
+        "        col_of[leaving], col_of[entering] = s, -1\n",
+        "        col_of[leaving] = s\n",
+        (LP_LAYER, LP_DENSE),
     ),
     # the counterexample family's parameters and norms (cli, tfamily)
     Mutant(
@@ -347,13 +384,13 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def tests_fail(tree: Path, tests: Sequence[str]) -> tuple[bool, str]:
+def tests_fail(tree: Path, tests: Sequence[str], timeout: int = TIMEOUT) -> tuple[bool, str]:
     """Whether some of ``tests`` fails in ``tree``, and how it ended."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     try:
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=TIMEOUT)
+        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return True, f"timed out after {TIMEOUT} s"
+        return True, f"timed out after {timeout} s"
     lines = proc.stdout.strip().splitlines()
     return proc.returncode != 0, lines[-1] if lines else proc.stderr.strip()
 
@@ -378,7 +415,7 @@ def run(mutants: Sequence[Mutant]) -> int:
             copy_tree(tree)
             (tree / m.path).write_text(text.replace(m.old, m.new))
             start = time.perf_counter()
-            killed, summary = tests_fail(tree, m.tests)
+            killed, summary = tests_fail(tree, m.tests, m.timeout)
             elapsed = time.perf_counter() - start
             print(f"{'killed' if killed else 'SURVIVED':9} {m.name} ({elapsed:.1f} s: {summary})")
             failures += not killed

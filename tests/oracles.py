@@ -5,24 +5,30 @@ branch-and-bound, interval DP, pigeonhole shortcuts): quantities are
 recomputed by naive enumeration so each test crosses two independent routes.
 The stdlib-only oracles that ``schreierkit verify`` also runs live in
 :mod:`schreierkit.oracles` and are re-exported here; the Schreier membership
-oracles below use the ordinal arithmetic, and the linear-program oracle
-(every vertex visited) serves only the LP tests, so they stay with the tests.
-The one exception is :func:`block_dp_fractions`, the block norm's DP with
+oracles below use the ordinal arithmetic, and the linear-program oracles
+(every vertex visited, and the dense tableau the library's simplex
+condenses) serve only the LP tests, so they stay with the tests.
+The exceptions are :func:`block_dp_fractions`, the block norm's DP with
 a ``Fraction`` per cell, kept as the reference for its float path, with its
-rows by :func:`per_row_run_norms`, one trie walk per row.
+rows by :func:`per_row_run_norms`, one member scan per segment; and
+:func:`solve_lp_dense`, the simplex on its former dense tableau, which
+must take the same pivots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from schreierkit import OrdinalCNF, fundamental_sequence, norms
-from schreierkit.families import finite_set, norming_sets, run_norms
+from schreierkit.families import finite_set, norming_sets
+from schreierkit.lp import LPResult, _certify
 from schreierkit.tfamily import digit_keys, f_of_u, point_membership
-from schreierkit.vectors import int_scaled
+from schreierkit.vectors import Rational, int_scaled
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
     block_decomposable,
     block_power_brute,
@@ -81,9 +87,18 @@ def eps_supports_per_set(xs, family, eps):
 
 
 def per_row_run_norms(family, support, weights):
-    """Row i of the block DP by a walk of its own: ``run_norms`` on
-    support[i:], from the root, with nothing carried over from row i + 1."""
-    return [run_norms(family, support[i:], weights[i:]) for i in range(len(support))]
+    """Row i of the block DP, entry j the family norm of support[i:i + j + 1].
+
+    Each entry is :func:`family_norm_brute` on its segment, a scan of every
+    member that shares no code with the trie walks, so it suits short
+    supports and small families.
+    """
+    members = family.members()
+    m = len(support)
+    return [
+        [family_norm_brute(members, dict(zip(support[i:j], weights[i:j]))) for j in range(i + 1, m + 1)]
+        for i in range(m)
+    ]
 
 
 def block_dp_fractions(x, family, power):
@@ -201,6 +216,174 @@ def lp_vertex_optimum(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()):
         if best is None or dot(c, x) < best:
             best = dot(c, x)
     return best
+
+
+def solve_lp_dense(
+    c: Sequence[Rational],
+    a_ub: Sequence[Sequence[Rational]] = (),
+    b_ub: Sequence[Rational] = (),
+    a_eq: Sequence[Sequence[Rational]] = (),
+    b_eq: Sequence[Rational] = (),
+) -> LPResult:
+    """``schreierkit.lp.solve_lp`` on the dense tableau it replaced.
+
+    The same two-phase Bland simplex with fraction-free pivots, but the
+    tableau keeps a column for every variable, basic or not: the basic
+    ones as explicit columns d * e_i.  Its pivots, and so its whole
+    ``LPResult``, pivot counts included, must be the library's.
+    """
+    c, a_ub, b_ub, a_eq, b_eq = list(c), list(a_ub), list(b_ub), list(a_eq), list(b_eq)
+    n = len(c)
+    if any(len(r) != n for r in a_ub) or any(len(r) != n for r in a_eq):
+        raise ValueError("constraint row length does not match len(c)")
+    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+        raise ValueError("rhs length does not match constraint count")
+
+    n_ub = len(a_ub)
+    # row i with its rhs last, times scales[i], the lcm of their denominators
+    scaled: list[list[int]] = []
+    scales: list[int] = []
+    for row, b in zip(a_ub + a_eq, b_ub + b_eq):
+        ints, scale = int_scaled([*row, b])
+        scaled.append(ints)
+        scales.append(scale)
+    m = len(scaled)
+    flips = [-1 if row[-1] < 0 else 1 for row in scaled]
+    # column layout: x, one slack per ub row, then one artificial per row
+    # that needs one: equalities, and rows flipped to a nonnegative rhs (a
+    # flipped slack has coefficient -1, unusable as an initial basis).
+    # unit_col[i] is row i's artificial if it has one, else its slack: the
+    # column with a 1 in row i and 0 elsewhere, so it starts basic there.
+    arts = [i for i in range(m) if i >= n_ub or flips[i] < 0]
+    unit_col = [n + i for i in range(m)]
+    for k, i in enumerate(arts):
+        unit_col[i] = n + n_ub + k
+    ncols = n + n_ub + len(arts)
+    artificials = set(range(n + n_ub, ncols))
+
+    # The tableau holds ints, rhs last.  Row i < m is the scaled row, flipped;
+    # its slack and artificial keep coefficients +-1 and 1, so they stand
+    # for scales[i] times the original slack and artificial.  Row m, once
+    # set, is the cost row: d times the reduced costs, and -d times the
+    # objective value in the rhs slot.
+    tableau: list[list[int]] = []
+    for i, ints in enumerate(scaled):
+        f = flips[i]
+        row = [f * v for v in ints[:-1]] + [0] * (ncols - n) + [f * ints[-1]]
+        if i < n_ub:
+            row[n + i] = f
+        row[unit_col[i]] = 1
+        tableau.append(row)
+
+    basis = list(unit_col)
+    # fraction-free (Edmonds/Bareiss) state: the current canonical tableau is
+    # tableau / d, and every pivot divides exactly by the previous pivot d
+    d = 1
+    pivots = [0, 0]
+
+    def set_objective(costs: list[int]) -> None:
+        obj = [d * v for v in costs] + [0]
+        for i, b in enumerate(basis):
+            cb = costs[b]
+            if cb:
+                for j, v in enumerate(tableau[i]):
+                    if v:
+                        obj[j] -= cb * v
+        tableau[m:] = [obj]
+
+    def pivot(pi: int, pj: int, phase: int) -> None:
+        nonlocal d
+        prow = tableau[pi]
+        p = prow[pj]
+        # the tableau is mostly zeros: scale every entry, then combine with
+        # the pivot row only where it is nonzero
+        nonzero = [j for j, b in enumerate(prow) if b]
+        for i, row in enumerate(tableau):
+            f = row[pj]
+            if i == pi or (not f and p == d):
+                continue
+            new = [a * p // d if a else 0 for a in row] if p != d else list(row)
+            if f:
+                for j in nonzero:
+                    new[j] = (p * row[j] - f * prow[j]) // d
+            tableau[i] = new
+        d = p
+        if d < 0:
+            # only a phase-1 pivot-out pivots on a negative entry
+            d = -d
+            for i, row in enumerate(tableau):
+                tableau[i] = [-v for v in row]
+        basis[pi] = pj
+        pivots[phase] += 1
+
+    def run(barred: set[int], phase: int) -> str:
+        while True:
+            obj = tableau[m]
+            enter = next((j for j in range(ncols) if j not in barred and obj[j] < 0), -1)
+            if enter < 0:
+                return "optimal"
+            # Bland's ratio test, rhs_i / a_i compared by cross-multiplication
+            leave = -1
+            for i in range(m):
+                a = tableau[i][enter]
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    left = tableau[i][-1] * tableau[leave][enter]
+                    right = tableau[leave][-1] * a
+                    if left < right or (left == right and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            pivot(leave, enter, phase)
+
+    # phase 1: drive artificial variables to zero; the artificial of row i
+    # costs 1/scales[i], i.e. 1 per unit of the original artificial
+    if arts:
+        costs1 = [0] * ncols
+        unit = math.lcm(*(scales[i] for i in arts))
+        for i in arts:
+            costs1[unit_col[i]] = unit // scales[i]
+        set_objective(costs1)
+        if run(set(), 0) != "optimal" or tableau[m][-1] < 0:
+            return LPResult("infeasible", None, None, None, None, None, tuple(pivots))
+        # pivot out artificials still basic (at value zero), so phase 2 can
+        # never move them; a row with no real column is redundant and inert.
+        # These pivots update the phase-1 cost row too, which phase 2 replaces
+        for i in range(m):
+            if basis[i] in artificials:
+                piv = next(
+                    (j for j in range(ncols)
+                     if j not in artificials and tableau[i][j] != 0),
+                    None,
+                )
+                if piv is not None:
+                    pivot(i, piv, 0)
+
+    costs2, cscale = int_scaled(c)
+    set_objective(costs2 + [0] * (ncols - n))
+    if run(artificials, 1) != "optimal":
+        return LPResult("unbounded", None, None, None, None, None, tuple(pivots))
+
+    # the certificate in ints, as the tableau leaves it: x = X/d, objective
+    # value/(d cscale), and y_i = Y_i scales[i]/(d cscale), with -flips[i] Y_i
+    # the cost row at row i's unit column (scales[i] times the original
+    # slack or artificial, so y_i takes the row scale back)
+    xs = [0] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            xs[b] = tableau[i][-1]
+    value = -tableau[m][-1]
+    ys = [-flips[i] * tableau[m][unit_col[i]] for i in range(m)]
+    dual_value = _certify(costs2, scaled[:n_ub], scaled[n_ub:], xs, d, value, ys[:n_ub], ys[n_ub:])
+
+    den = d * cscale
+    dual = [Fraction(y * scale, den) for y, scale in zip(ys, scales)]
+    return LPResult(
+        "optimal", [Fraction(v, d) for v in xs], Fraction(value, den),
+        dual[:n_ub], dual[n_ub:], Fraction(dual_value, den), tuple(pivots),
+    )
 
 
 def sample_point_randint(n, params, seed):

@@ -159,6 +159,35 @@ def test_dfjp_norm_refuses_a_huge_integer_p_before_any_lp(monkeypatch):
         dfjp_norm(x, BASE, 22, n_max=1)
 
 
+def test_inner_distance_refuses_a_level_that_would_leak_a_float():
+    # 2**-1 is the float 0.5: the LP's rhs turned inexact and gave
+    # x = 6755399441055743/13510798882111488 on S_1(1..5)
+    x = SparseVector({2: Fraction(1, 3), 4: Fraction(-2, 5)})
+    s5 = schreier_family(interval(1, 5))
+    for level in (-1, Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError, match="level"):
+            inner_distance(x, s5, Fraction(1, 2), level)
+    res = inner_distance(x, s5, Fraction(1, 2), 0)
+    assert all(type(v) is Fraction for v in res.x)
+
+
+def test_levels_past_the_cap_are_refused_before_any_lp(monkeypatch):
+    x = SparseVector({2: Fraction(1, 3), 4: Fraction(-2, 5)})
+    cap = interpolation.MAX_LEVEL
+    assert dfjp_gauge(GaugeProblem(x, cap, BASE)).level == cap
+
+    def no_lp(*args):
+        raise AssertionError("an LP was solved for a refused level")
+
+    monkeypatch.setattr(interpolation, "solve_lp", no_lp)
+    with pytest.raises(ValueError, match="past the cap"):
+        GaugeProblem(x, cap + 1, BASE)
+    with pytest.raises(ValueError, match="past the cap"):
+        inner_distance(x, BASE, Fraction(1, 2), cap + 1)
+    with pytest.raises(ValueError, match="past the cap"):
+        dfjp_norm(x, BASE, 2, n_max=cap + 1)
+
+
 def test_gauge_respects_family_choice():
     # a richer family increases the norm, hence the gauge
     rng = random.Random(29)

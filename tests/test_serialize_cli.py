@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from schreierkit import Family, PartitionMeasure, SparseVector
-from schreierkit import cli
+from schreierkit import cli, interpolation
 from schreierkit.cli import main
 from schreierkit.serialize import (
     family_from_obj,
@@ -217,6 +217,30 @@ def test_cli_gauge_refuses_a_huge_integer_p_at_once(tmp_path):
         )
         assert proc.returncode == code, proc.stderr
         assert ("exact power would pass" in proc.stderr) == (code == 2)
+
+
+def test_cli_gauge_refuses_a_level_past_the_cap_at_once(tmp_path):
+    # without the cap --n 100000 ran 5 s and --n 10000000 past 100 s, and
+    # --nmax drove one gauge per level; the cap itself still runs
+    vec = write(tmp_path, "x.json", {"coords": [[2, "1/3"], [4, "5/7"]]})
+    fam = write(tmp_path, "f.json", {"sets": [[], [1], [2], [3], [4], [5], [2, 3], [3, 4], [3, 5], [4, 5]]})
+    cap = str(interpolation.MAX_LEVEL)
+    past = str(interpolation.MAX_LEVEL + 1)
+    for args, code in (
+        (("--n", "10000000"), 2),
+        (("--n", past), 2),
+        (("--nmax", past, "--p", "2"), 2),
+        (("--n", cap), 0),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "schreierkit.cli", "gauge", "--family", fam, "--vector", vec, *args],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            cwd=Path(__file__).resolve().parents[1] / "src",
+        )
+        assert proc.returncode == code, proc.stderr
+        assert ("past the cap" in proc.stderr) == (code == 2)
 
 
 def test_cli_roots_powers_below_float_range(tmp_path, capsys):

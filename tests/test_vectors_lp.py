@@ -2,13 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schreierkit import SparseVector, solve_lp
 from schreierkit.lp import LPCertificateError, _certify
 
-from oracles import lp_vertex_optimum
+from oracles import lp_vertex_optimum, solve_lp_dense
 
 
 def test_sparse_vector_basics():
@@ -202,3 +202,41 @@ def test_lp_results_do_not_depend_on_entry_types(lp, rnd):
         if got.optimal:
             values = got.x + got.dual_ub + got.dual_eq + [got.objective, got.dual_objective]
             assert all(type(v) is Fraction for v in values)
+
+
+@st.composite
+def any_lps(draw):
+    """LPs of every outcome: ub rows of either rhs sign (a negative one is
+    flipped and gets an artificial), eq rows with an optional scaled copy
+    (an artificial left basic at zero, pivoted out on an entry of either
+    sign or left in an inert row), and an optional bounding row, without
+    which some are unbounded."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(fractions, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=3))
+    b_ub = draw(st.lists(fractions, min_size=len(a_ub), max_size=len(a_ub)))
+    a_eq = draw(st.lists(row, max_size=2))
+    b_eq = draw(st.lists(fractions, min_size=len(a_eq), max_size=len(a_eq)))
+    if a_eq and draw(st.booleans()):
+        i = draw(st.integers(0, len(a_eq) - 1))
+        k = draw(st.sampled_from((Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(3))))
+        a_eq.append([k * v for v in a_eq[i]])
+        b_eq.append(k * b_eq[i])
+    if draw(st.booleans()):
+        a_ub.append([Fraction(1)] * n)
+        b_ub.append(draw(st.builds(Fraction, st.integers(0, 6), st.integers(1, 3))))
+    return draw(row), a_ub, b_ub, a_eq, b_eq
+
+
+@settings(max_examples=400, deadline=None)
+@given(any_lps())
+# optimal after a pivot-out on a negative entry, the copied eq row inert
+@example(([1, 1], [], [], [[-1, 1], [1, -1]], [0, 0]))
+# infeasible, through a flipped row
+@example(([1], [[1], [-1]], [1, -2], [], []))
+# unbounded in phase 2, with an eq row
+@example(([-1, 0], [], [], [[1, -1]], [1]))
+def test_lp_results_match_the_dense_tableau(lp):
+    # the condensed tableau takes the dense one's pivots, so every field of
+    # the result, pivot counts included, is the same
+    assert solve_lp(*lp) == solve_lp_dense(*lp)
