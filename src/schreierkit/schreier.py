@@ -15,29 +15,37 @@ never saves a block, because the rest of a longer block is still in S_alpha.
 S_{beta_n} grows with n, so a limit level alpha holds s exactly when its
 stage min(s) - 1 does.
 
-So membership is decided element by element, with no cache.  The state of a
-member s is a persistent chain of frames, one per successor level that the
-greedy scan of s passes through: the level, the blocks used there and the
-minimum of the set being cut there, which caps the blocks.  Appending e
-opens a new block at the lowest frame with a block to spare, and every frame
-above it extends its current block; the new block {e} gets fresh frames
-below.  With no frame to spare, s + e is not a member.  Only frames with a
-block to spare are kept, so the lowest frame of a nonempty chain is where
-the next element goes, and s has a member extension exactly when its chain
-is nonempty.  A fresh block's frames all hold one block and minimum e, and
-they depend only on the level and e, so the chain keeps them as one lazy run
-(see :func:`_frame_above`); at omega^4*3 and e = 20 that run stands for
-390,963 frames.
+So membership is decided element by element.  The state of a member s is a
+persistent chain of frames, one per successor level that the greedy scan of
+s passes through.  A frame's blocks are capped by the minimum of the set
+being cut there, and a single frame keeps only its level and the blocks it
+has to spare beyond its current one.  Appending e opens a new block at the
+lowest frame with a block to spare, and every frame above it extends its
+current block; the new block {e} gets fresh frames below.  With no frame to
+spare, s + e is not a member.  Only frames with a block to spare are kept,
+so the lowest frame of a nonempty chain is where the next element goes, and
+s has a member extension exactly when its chain is nonempty.  A fresh
+block's frames all hold one block and minimum e, and they depend only on
+the level and e, so the chain keeps them as one lazy run (see
+:func:`_frame_above`); at omega^4*3 and e = 20 that run stands for 390,963
+frames.  A run that would hold level 1 alone is kept as that single frame.
+So single frames are canonical: {3} and {5, 6, 7} in S_1 both have two
+blocks of level 1 to spare and nothing above, and carry equal states.
 
+Equal states have equal extensions, and both walks use it, with maps that
+live for one call.  :func:`schreier_enumerate` copies the subtree of the
+first node with a (state, next index) pair to every later node with it.
 The block product of S_alpha and S_1 on a window is S_{alpha+1} there, so
 :func:`check_inclusion` walks S_{alpha+1} with the states of both levels and
 builds no product: from the largest minimum down, it stops at the first
-member outside S_beta.
+member outside S_beta, and it skips every triple of two states and a next
+index that it has met.
 All functions are pure.
 """
 
 from __future__ import annotations
 
+import marshal
 import re
 from typing import Iterable, NamedTuple
 
@@ -166,10 +174,13 @@ def _step(state: tuple, e: int) -> tuple:
     """The state of s + e, from the nonempty state of s.
 
     A state is its lowest frame ``(level, blocks, min, parent, top)``, or ()
-    when no frame is left.  With ``top`` None the node is one frame.
-    Otherwise it is a run: the frames at ``level`` and at each successor level
-    above it in the descent from ``top`` by stages ``min`` - 1, all with one
-    block used and minimum ``min``.
+    when no frame is left.  With ``top`` None the node is one frame, stored as
+    ``(level, 0, spare, parent, None)``: it may open ``spare`` blocks after its
+    current one, whatever it used and whatever its minimum, so that equal
+    futures give equal states.  Otherwise it is a run: the frames at ``level``
+    and at each successor level above it in the descent from ``top`` by stages
+    ``min`` - 1, all with one block used and minimum ``min``.  A fresh block
+    whose run would hold only level 1 is stored as that one frame.
     """
     level, blocks, least, parent, top = state
     if top is not None:
@@ -177,12 +188,14 @@ def _step(state: tuple, e: int) -> tuple:
         if above is not None:
             parent = (above, 1, least, parent, top)
     if blocks + 1 < least:
-        parent = (level, blocks + 1, least, parent, None)
+        parent = (level, 0, least - blocks - 1, parent, None)
     # the new block {e} lives at the level below; its run reaches down to
     # level 1, and when e = 1 every frame of it is full from the start
     _, c = level[-1]
     delta = level[:-1] if c == 1 else level[:-1] + ((0, c - 1),)
     if e > 1 and delta:
+        if delta == ((0, 1),):
+            return (delta, 0, e - 1, parent, None)
         return (((0, 1),), 1, e, parent, delta)
     return parent
 
@@ -240,6 +253,13 @@ def schreier_enumerate(alpha: OrdinalCNF, window: Iterable[int]) -> Family:
     the last child w[-1].  ``prev`` is the node appended last before the
     child w[i]: its previous sibling, whose subtree ends where the child
     starts, or its parent, whose end already says so then.
+
+    A node's subtree depends only on its state and the index its children
+    start at.  The first node with a pair is searched; a later one copies
+    that node's subtree from the arrays already written, depths and ends
+    shifted by the offsets between the two nodes.  The first node's subtree
+    is complete by then, since the later node comes after it in preorder.
+    Subtrees over the last two labels, at most three nodes, are searched.
     """
     w = finite_set(window)
     n = len(w)
@@ -248,6 +268,10 @@ def schreier_enumerate(alpha: OrdinalCNF, window: Iterable[int]) -> Family:
     label = [0]
     depth = [0]
     end = [1]
+    # first[i]: the state of a node whose children start at w[i] to the first
+    # such node.  Format 2 writes no back-references, so equal states marshal
+    # to equal bytes, and bytes and ints leave the collector nothing to track
+    first = [{} for _ in range(n)]
     stack = [(_start(alpha), 0, 1, 0)] if n else []
     while stack:
         state, i, d, prev = stack.pop()
@@ -261,8 +285,16 @@ def schreier_enumerate(alpha: OrdinalCNF, window: Iterable[int]) -> Family:
         if i < n:
             stack.append((state, i, d, k))
             nxt = _step(state, e)
-            if nxt:
+            if not nxt:
+                continue
+            j = first[i].setdefault(marshal.dumps(nxt, 2), k) if i < n - 2 else k
+            if j == k:
                 stack.append((nxt, i, d + 1, k))
+                continue
+            lo, hi = j + 1, end[j]
+            label += label[lo:hi]
+            depth += map((d - depth[j]).__add__, depth[lo:hi])
+            end += map((k - j).__add__, end[lo:hi])
     end[0] = len(label)
     return Family._from_arrays(label, depth, end, bytearray(b"\x01") * len(label), hereditary=True)
 
@@ -298,7 +330,8 @@ def check_inclusion(alpha: OrdinalCNF, beta: OrdinalCNF, window: Iterable[int]) 
     over the members of S_{alpha+1} carries the states of both levels and
     stops at the first member outside S_beta: S_beta is hereditary, so that
     is a child of a prefix whose S_beta state is empty.  The shift is one
-    past the first e with such a bad set.
+    past the first e with such a bad set.  The walks of all first elements
+    share one visited set (see :func:`_finds_bad_set`).
 
     A bad set s has #s > min s, because S_1 lies in S_beta, so 1 + min s <=
     #window: the report fails only on an empty window, and
@@ -315,17 +348,36 @@ def check_inclusion(alpha: OrdinalCNF, beta: OrdinalCNF, window: Iterable[int]) 
     # _start(alpha) holds the level alpha + 1 as its term tuple
     product = _start(OrdinalCNF(_start(alpha)[0]))
     target = _start(beta)
+    pushed: set[tuple] = set()
     for i in range(n - 2, -1, -1):
-        # every node on the stack is in S_{alpha+1} and in S_beta and has a
-        # child: its S_{alpha+1} state is nonempty and start < n
         state = _step(product, w[i])
-        stack = [(state, _step(target, w[i]), i + 1)] if state else []
-        while stack:
-            state, inside, start = stack.pop()
-            if not inside:
-                return InclusionReport(True, 1 + w[i], None, w)
-            for j in range(n - 2, start - 1, -1):
-                nxt = _step(state, w[j])
-                if nxt:
-                    stack.append((nxt, _step(inside, w[j]), j + 1))
+        if state and _finds_bad_set(state, _step(target, w[i]), i + 1, w, pushed):
+            return InclusionReport(True, 1 + w[i], None, w)
     return InclusionReport(True, 1, None, w)
+
+
+def _finds_bad_set(state: tuple, inside: tuple, start: int, w: FiniteSet, pushed: set[tuple]) -> bool:
+    """Whether a member of S_{alpha+1} below a node leaves S_beta.
+
+    The node's states in S_{alpha+1} and S_beta are ``state`` and ``inside``,
+    and its children start at w[start].  ``pushed`` holds the (S_{alpha+1}
+    state, S_beta state, start) triples pushed by earlier calls and gains
+    this call's: the walk stops at the first bad set, so a triple met again
+    has none below it and is skipped.
+    """
+    n = len(w)
+    # every node on the stack is in S_{alpha+1} and in S_beta and has a
+    # child: its S_{alpha+1} state is nonempty and start < n
+    stack = [(state, inside, start)]
+    while stack:
+        state, inside, start = stack.pop()
+        if not inside:
+            return True
+        for j in range(n - 2, start - 1, -1):
+            nxt = _step(state, w[j])
+            if nxt:
+                triple = (nxt, _step(inside, w[j]), j + 1)
+                if triple not in pushed:
+                    pushed.add(triple)
+                    stack.append(triple)
+    return False

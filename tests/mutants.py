@@ -57,6 +57,9 @@ LP = "src/schreierkit/lp.py"
 LP_LAYER = "tests/test_parity.py::test_lp_layer"
 LP_VECTORS = "tests/test_vectors_lp.py"
 LP_DENSE = "tests/test_vectors_lp.py::test_lp_results_match_the_dense_tableau"
+SCHREIER = "src/schreierkit/schreier.py"
+ENUM_WALK = "tests/test_schreier.py::test_enumeration_matches_the_full_walk"
+INCLUSION_WALK = "tests/test_schreier.py::test_check_inclusion_matches_the_full_walk"
 
 MUTANTS = (
     # the eps-support walk's branch-and-bound (norms._eps_supports)
@@ -332,6 +335,40 @@ MUTANTS = (
         "        col_of[leaving], col_of[entering] = s, -1\n",
         "        col_of[leaving] = s\n",
         (LP_LAYER, LP_DENSE),
+    ),
+    # canonical Schreier states and the walks memoised on them (schreier.py)
+    Mutant(
+        "subtree-memo-key-without-its-position",
+        SCHREIER,
+        "first[i].setdefault(",
+        "first[0].setdefault(",
+        # copies of the wrong subtrees grow the arrays without bound on the
+        # pinned 1..16 windows; the walk's small windows fail first
+        (ENUM_WALK,),
+    ),
+    Mutant(
+        "subtree-copy-depth-offset-dropped",
+        SCHREIER,
+        "            depth += map((d - depth[j]).__add__, depth[lo:hi])\n",
+        "            depth += depth[lo:hi]\n",
+        (ENUM_WALK, "tests/test_schreier.py::test_enumeration_writes_the_canonical_layout"),
+    ),
+    Mutant(
+        "single-frame-spares-one-block-too-many",
+        SCHREIER,
+        "least - blocks - 1",
+        "least - blocks",
+        ("tests/test_schreier.py::test_states_are_canonical",
+         "tests/test_schreier.py::test_greedy_blocks_match_block_split_search"),
+    ),
+    Mutant(
+        "visited-triple-without-its-beta-state",
+        SCHREIER,
+        "                if triple not in pushed:\n                    pushed.add(triple)\n",
+        "                if triple[::2] not in pushed:\n                    pushed.add(triple[::2])\n",
+        # a skipped triple never hid a bad set on any window tried, so the
+        # reports stay right; the walk's pushed triples show the gap
+        ("tests/test_schreier.py::test_inclusion_walk_pushes_the_state_triples_of_every_member",),
     ),
     # the counterexample family's parameters and norms (cli, tfamily)
     Mutant(

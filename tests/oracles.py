@@ -10,9 +10,12 @@ oracles below use the ordinal arithmetic, and the linear-program oracles
 condenses) serve only the LP tests, so they stay with the tests.
 The exceptions are :func:`block_dp_fractions`, the block norm's DP with
 a ``Fraction`` per cell, kept as the reference for its float path, with its
-rows by :func:`per_row_run_norms`, one member scan per segment; and
+rows by :func:`per_row_run_norms`, one member scan per segment;
 :func:`solve_lp_dense`, the simplex on its former dense tableau, which
-must take the same pivots.
+must take the same pivots; and :func:`schreier_enumerate_walk` and
+:func:`check_inclusion_walk`, the Schreier searches that visit every node,
+with no memo and with states that are not canonical, whose arrays and
+reports the library's memoised searches must reproduce.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from schreierkit import OrdinalCNF, fundamental_sequence, norms
-from schreierkit.families import finite_set, norming_sets
+from schreierkit import InclusionReport, OrdinalCNF, fundamental_sequence, norms
+from schreierkit.families import Family, finite_set, norming_sets
 from schreierkit.lp import LPResult, _certify
+from schreierkit.schreier import _frame_above, _start
 from schreierkit.tfamily import digit_keys, f_of_u, point_membership
 from schreierkit.vectors import Rational, int_scaled
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
@@ -169,6 +173,82 @@ def schreier_member_naive(alpha: OrdinalCNF, s: tuple[int, ...]) -> bool:
 def schreier_level_member(level: int, s: tuple[int, ...]) -> bool:
     """Membership at finite level by exhaustive block splits, memoized within the call."""
     return schreier_member_naive(OrdinalCNF.from_int(level), s)
+
+
+def _walk_step(state: tuple, e: int) -> tuple:
+    """``schreier._step`` before its states were canonical.
+
+    A single frame keeps the blocks it used and its minimum, and a fresh
+    block's frames are always a run, even one that holds only level 1.
+    """
+    level, blocks, least, parent, top = state
+    if top is not None:
+        above = _frame_above(top, least, level)
+        if above is not None:
+            parent = (above, 1, least, parent, top)
+    if blocks + 1 < least:
+        parent = (level, blocks + 1, least, parent, None)
+    _, c = level[-1]
+    delta = level[:-1] if c == 1 else level[:-1] + ((0, c - 1),)
+    if e > 1 and delta:
+        return (((0, 1),), 1, e, parent, delta)
+    return parent
+
+
+def schreier_enumerate_walk(alpha: OrdinalCNF, window) -> Family:
+    """``schreier_enumerate`` as a depth-first walk of every node, with no memo.
+
+    A stack entry ``(state, i, d, prev)`` stands for the children w[i], ...
+    of a node of depth d - 1 whose state is ``state``; ``prev`` is the node
+    appended last before the child w[i], whose subtree ends where it starts.
+    """
+    w = finite_set(window)
+    n = len(w)
+    label, depth, end = [0], [0], [1]
+    stack = [(_start(alpha), 0, 1, 0)] if n else []
+    while stack:
+        state, i, d, prev = stack.pop()
+        k = len(label)
+        end[prev] = k
+        e = w[i]
+        label.append(e)
+        depth.append(d)
+        end.append(k + 1)
+        i += 1
+        if i < n:
+            stack.append((state, i, d, k))
+            nxt = _walk_step(state, e)
+            if nxt:
+                stack.append((nxt, i, d + 1, k))
+    end[0] = len(label)
+    return Family._from_arrays(label, depth, end, bytearray(b"\x01") * len(label), hereditary=True)
+
+
+def check_inclusion_walk(alpha: OrdinalCNF, beta: OrdinalCNF, window) -> InclusionReport:
+    """``check_inclusion`` as a walk of every member of S_{alpha+1}, with no visited set.
+
+    From the largest first element down, a depth-first walk carries the
+    states of S_{alpha+1} and S_beta and stops at the first node whose
+    S_beta state is empty: its children are the bad sets.
+    """
+    w = finite_set(window)
+    n = len(w)
+    if not w:
+        return InclusionReport(False, None, None, w)
+    product = _start(OrdinalCNF(_start(alpha)[0]))
+    target = _start(beta)
+    for i in range(n - 2, -1, -1):
+        state = _walk_step(product, w[i])
+        stack = [(state, _walk_step(target, w[i]), i + 1)] if state else []
+        while stack:
+            state, inside, start = stack.pop()
+            if not inside:
+                return InclusionReport(True, 1 + w[i], None, w)
+            for j in range(n - 2, start - 1, -1):
+                nxt = _walk_step(state, w[j])
+                if nxt:
+                    stack.append((nxt, _walk_step(inside, w[j]), j + 1))
+    return InclusionReport(True, 1, None, w)
 
 
 def _solve_square(rows, rhs):

@@ -24,11 +24,13 @@ from schreierkit import (
     schreier_family,
     schreier_member,
 )
-from schreierkit.schreier import _frame_above
+from schreierkit.schreier import _finds_bad_set, _frame_above, _start, _step
 
 from oracles import (
     all_subsets,
     block_decomposable,
+    check_inclusion_walk,
+    schreier_enumerate_walk,
     schreier_level_member,
     schreier_member_direct,
     schreier_member_naive,
@@ -133,6 +135,27 @@ def test_run_climb_matches_materialised_descent():
                 assert _frame_above(alpha.terms, e, low) == above, (text, e, low)
 
 
+def _state_after(alpha, s):
+    state = _start(alpha)
+    for e in s:
+        state = _step(state, e)
+    return state
+
+
+def test_states_are_canonical():
+    # a single frame keeps only the blocks it has to spare, so {3} and
+    # {5, 6, 7} in S_1 both leave two, at level 1, with nothing above
+    assert _state_after(ONE, (3,)) == _state_after(ONE, (5, 6, 7)) == (((0, 1),), 0, 2, (), None)
+    # a fresh block whose run would hold level 1 alone is that single frame
+    for text in ("1", "2", "w", "w+1", "w^2+1"):
+        alpha = parse_ordinal(text)
+        for s in schreier_enumerate(alpha, interval(1, 9)):
+            frame = _state_after(alpha, s)
+            while frame:
+                _, blocks, _, frame, top = frame
+                assert top != ((0, 1),) and (top is not None or blocks == 0), (text, s)
+
+
 def test_memory_stays_bounded_across_fresh_queries():
     def one_round(k):
         # a fresh ordinal and a fresh window each round; the results are dropped
@@ -217,6 +240,32 @@ def test_enumeration_writes_the_canonical_layout():
             fml = schreier_enumerate(alpha, w)
             ref = Family(fml.members())
             assert fml == ref and fml._end == ref._end, (alpha, w)
+
+
+# windows on which enumeration and inclusion must reproduce the full walks
+ORACLE_WINDOWS = (
+    [interval(1, n) for n in range(17)] + [interval(2, n) for n in range(2, 17)]
+    + [(2, 3, 5, 8, 9, 11), (1, 4, 6, 7, 12, 13, 20)]
+)
+
+
+def test_enumeration_matches_the_full_walk():
+    # repeated states copy their first node's subtree: every field of the
+    # family must be the one the walk of every node writes
+    for text in ("0", "1", "2", "3", "w", "w+1", "w*2", "w^2", "w^2*2+3"):
+        alpha = parse_ordinal(text)
+        for w in ORACLE_WINDOWS:
+            fml, ref = schreier_enumerate(alpha, w), schreier_enumerate_walk(alpha, w)
+            assert fml._label == ref._label and fml._depth == ref._depth, (text, w)
+            assert fml._end == ref._end and fml._term == ref._term, (text, w)
+            assert fml.hereditary_flag is ref.hereditary_flag is True
+
+
+def test_check_inclusion_matches_the_full_walk():
+    ordinals = [parse_ordinal(t) for t in ("0", "1", "2", "w", "w+1", "w*2", "w^2")]
+    for alpha, beta in itertools.combinations(ordinals, 2):
+        for w in ORACLE_WINDOWS:
+            assert check_inclusion(alpha, beta, w) == check_inclusion_walk(alpha, beta, w), (alpha, beta, w)
 
 
 def test_enumeration_members_are_pinned():
@@ -375,6 +424,27 @@ def test_check_inclusion_shift_comes_from_the_largest_bad_minimum():
     for bad in ((2, 3, 4), tuple(range(3, 25))):
         assert schreier_member_naive(three, bad) and not schreier_member_naive(OMEGA, bad)
     assert check_inclusion(TWO, OMEGA, interval(1, 24)) == InclusionReport(True, 4, None, interval(1, 24))
+
+
+def test_inclusion_walk_pushes_the_state_triples_of_every_member():
+    # with no bad set below its first element the walk meets every member
+    # of S_{alpha+1} that has a child, and its visited set ends up holding
+    # the (S_{alpha+1} state, S_beta state, start) triple of each of them
+    for alpha, beta, w in (
+        (ONE, TWO, interval(3, 12)),
+        (ONE, OMEGA, interval(3, 12)),
+        (OMEGA, parse_ordinal("w+1"), interval(2, 11)),
+        (TWO, parse_ordinal("w*2"), (2, 3, 5, 8, 9, 11, 12, 14)),
+    ):
+        successor = OrdinalCNF(_start(alpha)[0])
+        pushed = set()
+        state, inside = (_state_after(x, w[:1]) for x in (successor, beta))
+        assert not _finds_bad_set(state, inside, 1, w, pushed)
+        assert pushed == {
+            (_state_after(successor, s), _state_after(beta, s), w.index(s[-1]) + 1)
+            for s in schreier_enumerate(successor, w)
+            if len(s) >= 2 and s[0] == w[0] and s[-1] < w[-1] and _state_after(successor, s)
+        }, (alpha, beta, w)
 
 
 def test_check_inclusion_refusals():
