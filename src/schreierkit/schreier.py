@@ -18,19 +18,19 @@ stage min(s) - 1 does.
 So membership is decided element by element.  The state of a member s is a
 persistent chain of frames, one per successor level that the greedy scan of
 s passes through.  A frame's blocks are capped by the minimum of the set
-being cut there, and a single frame keeps only its level and the blocks it
-has to spare beyond its current one.  Appending e opens a new block at the
-lowest frame with a block to spare, and every frame above it extends its
-current block; the new block {e} gets fresh frames below.  With no frame to
-spare, s + e is not a member.  Only frames with a block to spare are kept,
-so the lowest frame of a nonempty chain is where the next element goes, and
-s has a member extension exactly when its chain is nonempty.  A fresh
-block's frames all hold one block and minimum e, and they depend only on
-the level and e, so the chain keeps them as one lazy run (see
-:func:`_frame_above`); at omega^4*3 and e = 20 that run stands for 390,963
-frames.  A run that would hold level 1 alone is kept as that single frame.
-So single frames are canonical: {3} and {5, 6, 7} in S_1 both have two
-blocks of level 1 to spare and nothing above, and carry equal states.
+being cut there, and a frame keeps only its level and k, how many more
+blocks it may open.  Appending e opens a new block at the lowest frame,
+which keeps k - 1, and every frame above it extends its current block; the
+new block {e} gets fresh frames below, each with k = e - 1.  A frame left
+with k = 0 is dropped, so the lowest frame of a nonempty chain is where the
+next element goes, and s has a member extension exactly when its chain is
+nonempty.  A fresh block's frames depend only on the level and k, which is
+also the stage its limit levels descend to, so the chain keeps them as one
+lazy run (see :func:`_frame_above`); at omega^4*3 and e = 20 that run stands
+for 390,963 frames.  A run that would hold level 1 alone is kept as that
+single frame.  So states are canonical: {3} and {5, 6, 7} in S_1 both may
+open two more blocks of level 1 and have nothing above, and carry equal
+states.
 
 Equal states have equal extensions, and both walks use it, with maps that
 live for one call.  :func:`schreier_enumerate` copies the subtree of the
@@ -160,62 +160,60 @@ def _start(alpha: OrdinalCNF) -> tuple:
     """The state of the empty set in S_alpha.
 
     A member of S_alpha is one block of S_{alpha+1}, so the empty set's state
-    is a frame at level alpha + 1 with one block allowed and none used.
+    is a frame at level alpha + 1 that may open one block.
     """
     terms = alpha.terms
     if terms and terms[-1][0] == 0:
         level = terms[:-1] + ((0, terms[-1][1] + 1),)
     else:
         level = terms + ((0, 1),)
-    return (level, 0, 1, (), None)
+    return (level, 1, (), None)
 
 
 def _step(state: tuple, e: int) -> tuple:
     """The state of s + e, from the nonempty state of s.
 
-    A state is its lowest frame ``(level, blocks, min, parent, top)``, or ()
-    when no frame is left.  With ``top`` None the node is one frame, stored as
-    ``(level, 0, spare, parent, None)``: it may open ``spare`` blocks after its
-    current one, whatever it used and whatever its minimum, so that equal
-    futures give equal states.  Otherwise it is a run: the frames at ``level``
-    and at each successor level above it in the descent from ``top`` by stages
-    ``min`` - 1, all with one block used and minimum ``min``.  A fresh block
-    whose run would hold only level 1 is stored as that one frame.
+    A state is its lowest frame ``(level, k, parent, top)``, or () when no
+    frame is left; k >= 1 is how many more blocks the frame may open.  With
+    ``top`` None the node is that one frame.  Otherwise it is a run: the
+    frames at ``level`` and at each successor level above it in the descent
+    from ``top`` by stages k, all with the same k.  Opening a block at the
+    lowest frame leaves it k - 1, and a frame with none left is dropped.
+    The new block {e} opens a run with k = e - 1 at the level below; a run
+    that would hold only level 1 is stored as that one frame.
     """
-    level, blocks, least, parent, top = state
+    level, k, parent, top = state
     if top is not None:
-        above = _frame_above(top, least, level)
+        above = _frame_above(top, k, level)
         if above is not None:
-            parent = (above, 1, least, parent, top)
-    if blocks + 1 < least:
-        parent = (level, 0, least - blocks - 1, parent, None)
+            parent = (above, k, parent, top)
+    if k > 1:
+        parent = (level, k - 1, parent, None)
     # the new block {e} lives at the level below; its run reaches down to
-    # level 1, and when e = 1 every frame of it is full from the start
+    # level 1, and when e = 1 its frames have k = 0 and none is kept
     _, c = level[-1]
     delta = level[:-1] if c == 1 else level[:-1] + ((0, c - 1),)
     if e > 1 and delta:
-        if delta == ((0, 1),):
-            return (delta, 0, e - 1, parent, None)
-        return (((0, 1),), 1, e, parent, delta)
+        return (((0, 1),), e - 1, parent, None if delta == ((0, 1),) else delta)
     return parent
 
 
-def _frame_above(top: tuple, e: int, x: tuple) -> tuple | None:
+def _frame_above(top: tuple, k: int, x: tuple) -> tuple | None:
     """The next successor level above x in the descent from top, or None.
 
     The descent goes from a successor to its predecessor and from a limit to
-    its stage e - 1.  Below the first exponent j at which x is under top, the
-    digits of x are at most e - 2, except that the last one may be e - 1.
-    x + 1 comes just before x unless that last digit is e - 1 and lies below
-    j; then x is the stage e - 1 of the limit that carries its last digit up,
-    and the walk goes on from that limit.
+    its stage k.  Below the first exponent j at which x is under top, the
+    digits of x are at most k - 1, except that the last one may be k.  x + 1
+    comes just before x unless that last digit is k and lies below j; then x
+    is the stage k of the limit that carries its last digit up, and the walk
+    goes on from that limit.
     """
     while x != top:
         i = 0
         while i < len(x) and x[i] == top[i]:
             i += 1
         exp, c = x[-1]
-        if c < e - 1 or i == len(x) or (i == len(x) - 1 and exp == top[i][0]):
+        if c < k or i == len(x) or (i == len(x) - 1 and exp == top[i][0]):
             return x[:-1] + ((0, c + 1),) if exp == 0 else x + ((0, 1),)
         if len(x) > 1 and x[-2][0] == exp + 1:
             x = x[:-2] + ((exp + 1, x[-2][1] + 1),)

@@ -185,17 +185,22 @@ def suite_setfam(seed: int) -> list[Case]:
     lams = [Fraction(rng.randint(1, 4), 4) for _ in rand_fams]
 
     def density_projections() -> Verdict:
+        # s[lambda] and s[+] from their definitions, piece by piece
         measure = fam.PartitionMeasure.uniform([[1, 2], [3, 4], [5, 6, 7, 8]])
         for f, lam in zip(rand_fams, lams):
-            projected = []
+            s_lams, s_pluses = [], []
             for s in f:
-                split = measure.split(s)
-                s_lam = sorted(n for n, part in split.items() if len(part) >= lam * len(measure.pieces[n - 1]))
-                if not set(s_lam).issubset(split):
+                hits = [(n, len(set(s) & set(piece)), len(piece)) for n, piece in enumerate(measure.pieces, 1)]
+                s_lam = [n for n, hit, size in hits if hit >= lam * size]
+                s_plus = [n for n, hit, _ in hits if hit]
+                if not set(s_lam) <= set(s_plus):
                     return False, f"s={s}, lambda={lam}", ""
-                projected.append(s_lam)
-            if fam.g_lambda(f, measure, lam) != fam.Family(projected):
+                s_lams.append(s_lam)
+                s_pluses.append(s_plus)
+            if fam.g_lambda(f, measure, lam) != fam.Family(s_lams):
                 return False, f"g_lambda mismatch on {f!r}", ""
+            if fam.g_plus(f, measure) != fam.Family(s_pluses):
+                return False, f"g_plus mismatch on {f!r}", ""
         return True, "", ""
 
     def uniform_trace_examples() -> Verdict:

@@ -356,10 +356,35 @@ MUTANTS = (
     Mutant(
         "single-frame-spares-one-block-too-many",
         SCHREIER,
-        "least - blocks - 1",
-        "least - blocks",
+        "parent = (level, k - 1, parent, None)",
+        "parent = (level, k, parent, None)",
         ("tests/test_schreier.py::test_states_are_canonical",
          "tests/test_schreier.py::test_greedy_blocks_match_block_split_search"),
+    ),
+    Mutant(
+        "run-frame-pushed-with-one-block-fewer",
+        SCHREIER,
+        "parent = (above, k, parent, top)",
+        "parent = (above, k - 1, parent, top)",
+        # the frames above a run's lowest one open their blocks only on sets
+        # longer than the greedy test's 1..10 subsets; the walks reach them
+        (ENUM_WALK, INCLUSION_WALK),
+    ),
+    Mutant(
+        "run-climbs-one-stage-too-high",
+        SCHREIER,
+        "above = _frame_above(top, k, level)",
+        "above = _frame_above(top, k + 1, level)",
+        ("tests/test_schreier.py::test_greedy_blocks_match_block_split_search",),
+    ),
+    Mutant(
+        "fresh-level-1-block-kept-as-a-run",
+        SCHREIER,
+        "None if delta == ((0, 1),) else delta)",
+        "delta)",
+        # the run climbs from level 1 to its top, level 1, and stops, so it
+        # extends like the single frame and only the layout shows it
+        ("tests/test_schreier.py::test_states_are_canonical",),
     ),
     Mutant(
         "visited-triple-without-its-beta-state",

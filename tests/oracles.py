@@ -30,7 +30,7 @@ from typing import Sequence
 from schreierkit import InclusionReport, OrdinalCNF, fundamental_sequence, norms
 from schreierkit.families import Family, finite_set, norming_sets
 from schreierkit.lp import LPResult, _certify
-from schreierkit.schreier import _frame_above, _start
+from schreierkit.schreier import _frame_above
 from schreierkit.tfamily import digit_keys, f_of_u, point_membership
 from schreierkit.vectors import Rational, int_scaled
 from schreierkit.oracles import (  # noqa: F401  (re-exported)
@@ -175,15 +175,27 @@ def schreier_level_member(level: int, s: tuple[int, ...]) -> bool:
     return schreier_member_naive(OrdinalCNF.from_int(level), s)
 
 
+def _walk_start(alpha: OrdinalCNF) -> tuple:
+    """The empty set's state for :func:`_walk_step`: a frame at level alpha + 1
+    with one block allowed and none used."""
+    terms = alpha.terms
+    if alpha.is_successor:
+        level = terms[:-1] + ((0, terms[-1][1] + 1),)
+    else:
+        level = terms + ((0, 1),)
+    return (level, 0, 1, (), None)
+
+
 def _walk_step(state: tuple, e: int) -> tuple:
     """``schreier._step`` before its states were canonical.
 
-    A single frame keeps the blocks it used and its minimum, and a fresh
-    block's frames are always a run, even one that holds only level 1.
+    A frame is ``(level, blocks, least, parent, top)``: a single frame keeps
+    the blocks it used and its minimum, and a fresh block's frames are
+    always a run, even one that holds only level 1.
     """
     level, blocks, least, parent, top = state
     if top is not None:
-        above = _frame_above(top, least, level)
+        above = _frame_above(top, least - 1, level)
         if above is not None:
             parent = (above, 1, least, parent, top)
     if blocks + 1 < least:
@@ -205,7 +217,7 @@ def schreier_enumerate_walk(alpha: OrdinalCNF, window) -> Family:
     w = finite_set(window)
     n = len(w)
     label, depth, end = [0], [0], [1]
-    stack = [(_start(alpha), 0, 1, 0)] if n else []
+    stack = [(_walk_start(alpha), 0, 1, 0)] if n else []
     while stack:
         state, i, d, prev = stack.pop()
         k = len(label)
@@ -235,8 +247,8 @@ def check_inclusion_walk(alpha: OrdinalCNF, beta: OrdinalCNF, window) -> Inclusi
     n = len(w)
     if not w:
         return InclusionReport(False, None, None, w)
-    product = _start(OrdinalCNF(_start(alpha)[0]))
-    target = _start(beta)
+    product = _walk_start(OrdinalCNF(_walk_start(alpha)[0]))
+    target = _walk_start(beta)
     for i in range(n - 2, -1, -1):
         state = _walk_step(product, w[i])
         stack = [(state, _walk_step(target, w[i]), i + 1)] if state else []

@@ -132,7 +132,7 @@ def test_run_climb_matches_materialised_descent():
                 x = x.predecessor() if x.is_successor else fundamental_sequence(x, e - 1)
             frames.reverse()
             for low, above in zip(frames, frames[1:] + [None]):
-                assert _frame_above(alpha.terms, e, low) == above, (text, e, low)
+                assert _frame_above(alpha.terms, e - 1, low) == above, (text, e, low)
 
 
 def _state_after(alpha, s):
@@ -143,17 +143,43 @@ def _state_after(alpha, s):
 
 
 def test_states_are_canonical():
-    # a single frame keeps only the blocks it has to spare, so {3} and
-    # {5, 6, 7} in S_1 both leave two, at level 1, with nothing above
-    assert _state_after(ONE, (3,)) == _state_after(ONE, (5, 6, 7)) == (((0, 1),), 0, 2, (), None)
+    # a frame keeps only how many more blocks it may open, so {3} and
+    # {5, 6, 7} in S_1 both may open two, at level 1, with nothing above
+    assert _state_after(ONE, (3,)) == _state_after(ONE, (5, 6, 7)) == (((0, 1),), 2, (), None)
     # a fresh block whose run would hold level 1 alone is that single frame
     for text in ("1", "2", "w", "w+1", "w^2+1"):
         alpha = parse_ordinal(text)
         for s in schreier_enumerate(alpha, interval(1, 9)):
             frame = _state_after(alpha, s)
             while frame:
-                _, blocks, _, frame, top = frame
-                assert top != ((0, 1),) and (top is not None or blocks == 0), (text, s)
+                _, k, frame, top = frame
+                assert k >= 1 and top != ((0, 1),), (text, s)
+
+
+_LIMIT_ORDINALS = st.builds(
+    lambda exps, coeffs: OrdinalCNF(tuple(zip(sorted(exps, reverse=True), coeffs))),
+    st.sets(st.integers(1, 4), min_size=1, max_size=3),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_LIMIT_ORDINALS, st.frozensets(st.integers(1, 9), min_size=4), st.data())
+def test_equal_states_have_equal_extensions(alpha, window, data):
+    # both memos copy or skip what lies above a state met before; the
+    # states are compared for equality only, never read
+    w = tuple(sorted(window))
+    classes = {}
+    for s in schreier_enumerate(alpha, w):
+        classes.setdefault(_state_after(alpha, s), []).append(s)
+    shared = [members for members in classes.values() if len(members) > 1]
+    if not shared:
+        return
+    members = data.draw(st.sampled_from(shared))
+    s, t = data.draw(st.lists(st.sampled_from(members), min_size=2, max_size=2, unique=True))
+    top = max(s[-1:] + t[-1:], default=0)
+    for u in all_subsets([e for e in w if e > top]):
+        assert schreier_member_naive(alpha, s + u) == schreier_member_naive(alpha, t + u), (alpha, s, t, u)
 
 
 def test_memory_stays_bounded_across_fresh_queries():
