@@ -35,7 +35,10 @@ states.
 Equal states have equal extensions, and both walks use it, with maps that
 live for one call.  :func:`schreier_enumerate` copies the subtree of the
 first node with a (state, next index) pair to every later node with it.
-The block product of S_alpha and S_1 on a window is S_{alpha+1} there, so
+Heredity saves more: once a child holds every subset of the labels after
+it, so do its later siblings, and those siblings with their subtrees are
+that child's subtree one depth up, copied as one slice.  The block product
+of S_alpha and S_1 on a window is S_{alpha+1} there, so
 :func:`check_inclusion` walks S_{alpha+1} with the states of both levels and
 builds no product: from the largest minimum down, it stops at the first
 member outside S_beta, and it skips every triple of two states and a next
@@ -258,6 +261,16 @@ def schreier_enumerate(alpha: OrdinalCNF, window: Iterable[int]) -> Family:
     shifted by the offsets between the two nodes.  The first node's subtree
     is complete by then, since the later node comes after it in preorder.
     Subtrees over the last two labels, at most three nodes, are searched.
+
+    A child w[i - 1] is full when its subtree holds every subset of w[i:],
+    2^(n - i) nodes with itself.  When the entry for the child w[i] is
+    popped and ``prev``, its previous sibling, is full, the rest of the
+    entry is one copy.  prev's set v + {w[i - 1]} joined with w[i:] is a
+    member, so, S_alpha being hereditary, every later sibling v + {w[j]}
+    holds every subset of w[j + 1:] too: the later siblings and their
+    subtrees, in preorder, are prev's subtree without prev, one depth up,
+    ends shifted by the size of that subtree.  A parent never passes for
+    ``prev`` here: at its first child's entry its subtree is itself alone.
     """
     w = finite_set(window)
     n = len(w)
@@ -275,6 +288,12 @@ def schreier_enumerate(alpha: OrdinalCNF, window: Iterable[int]) -> Family:
         state, i, d, prev = stack.pop()
         k = len(label)
         end[prev] = k
+        if k - prev == 1 << (n - i):
+            # prev is a full previous sibling: its later siblings are its subtree one depth up
+            label += label[prev + 1:k]
+            depth += map((-1).__add__, depth[prev + 1:k])
+            end += map((k - prev - 1).__add__, end[prev + 1:k])
+            continue
         e = w[i]
         label.append(e)
         depth.append(d)

@@ -59,6 +59,8 @@ LP_VECTORS = "tests/test_vectors_lp.py"
 LP_DENSE = "tests/test_vectors_lp.py::test_lp_results_match_the_dense_tableau"
 SCHREIER = "src/schreierkit/schreier.py"
 ENUM_WALK = "tests/test_schreier.py::test_enumeration_matches_the_full_walk"
+ENUM_SPARSE = "tests/test_schreier.py::test_enumeration_matches_the_full_walk_on_sparse_windows"
+STEPS = "tests/test_schreier.py::test_full_siblings_are_copied_not_stepped"
 INCLUSION_WALK = "tests/test_schreier.py::test_check_inclusion_matches_the_full_walk"
 
 MUTANTS = (
@@ -352,6 +354,44 @@ MUTANTS = (
         "            depth += map((d - depth[j]).__add__, depth[lo:hi])\n",
         "            depth += depth[lo:hi]\n",
         (ENUM_WALK, "tests/test_schreier.py::test_enumeration_writes_the_canonical_layout"),
+    ),
+    Mutant(
+        "full-sibling-size-off-by-one",
+        SCHREIER,
+        "        if k - prev == 1 << (n - i):\n",
+        "        if k - prev == 1 << (n - i + 1):\n",
+        # no subtree holds twice the subsets of the labels left, so the rule
+        # never fires, and only the count of steps shows it
+        (STEPS,),
+    ),
+    Mutant(
+        "full-sibling-size-one-short",
+        SCHREIER,
+        "        if k - prev == 1 << (n - i):\n",
+        "        if k - prev == 1 << (n - i - 1):\n",
+        (ENUM_WALK, ENUM_SPARSE),
+    ),
+    Mutant(
+        "full-sibling-depth-not-shifted",
+        SCHREIER,
+        "            depth += map((-1).__add__, depth[prev + 1:k])\n",
+        "            depth += depth[prev + 1:k]\n",
+        (ENUM_WALK, ENUM_SPARSE),
+    ),
+    Mutant(
+        "full-sibling-end-not-shifted",
+        SCHREIER,
+        "            end += map((k - prev - 1).__add__, end[prev + 1:k])\n",
+        "            end += map((k - prev).__add__, end[prev + 1:k])\n",
+        (ENUM_WALK, ENUM_SPARSE),
+    ),
+    Mutant(
+        "full-sibling-rule-off",
+        SCHREIER,
+        "        if k - prev == 1 << (n - i):\n",
+        "        if False:\n",
+        # the memo copies the same subtrees, so the arrays stay equal
+        (STEPS,),
     ),
     Mutant(
         "single-frame-spares-one-block-too-many",

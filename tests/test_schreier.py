@@ -287,6 +287,43 @@ def test_enumeration_matches_the_full_walk():
             assert fml.hereditary_flag is ref.hereditary_flag is True
 
 
+_ORDINALS_TO_W3_2_W_3 = st.builds(
+    lambda exps, coeffs: OrdinalCNF(tuple(zip(sorted(exps, reverse=True), coeffs))),
+    st.sets(st.integers(0, 3), max_size=4),
+    st.lists(st.integers(1, 3), min_size=4, max_size=4),
+).filter(lambda alpha: alpha <= parse_ordinal("w^3*2+w+3"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ORDINALS_TO_W3_2_W_3, st.frozensets(st.integers(1, 30), max_size=14))
+def test_enumeration_matches_the_full_walk_on_sparse_windows(alpha, window):
+    # the copies of repeated and of full subtrees on windows with gaps
+    fml, ref = schreier_enumerate(alpha, window), schreier_enumerate_walk(alpha, window)
+    assert fml._label == ref._label and fml._depth == ref._depth, (alpha, window)
+    assert fml._end == ref._end and fml._term == ref._term, (alpha, window)
+    assert fml.hereditary_flag is ref.hereditary_flag is True
+
+
+def test_full_siblings_are_copied_not_stepped(monkeypatch):
+    # on S_3(1..13) and S_{w+1}(1..13) every node but {1} and the root
+    # holds every subset of the labels after it, so once the first child of
+    # a node is searched its later siblings are copied; stepping each node
+    # that the memo does not copy takes hundreds of steps
+    calls = 0
+
+    def counted(state, e):
+        nonlocal calls
+        calls += 1
+        return _step(state, e)
+
+    monkeypatch.setattr("schreierkit.schreier._step", counted)
+    w = interval(1, 13)
+    for text in ("3", "w+1"):
+        calls = 0
+        assert len(schreier_enumerate(parse_ordinal(text), w)) == 4097
+        assert calls <= 2 * len(w), (text, calls)
+
+
 def test_check_inclusion_matches_the_full_walk():
     ordinals = [parse_ordinal(t) for t in ("0", "1", "2", "w", "w+1", "w*2", "w^2")]
     for alpha, beta in itertools.combinations(ordinals, 2):
