@@ -20,8 +20,8 @@ traces on a support come from one preorder walk too, :func:`trace_sums`,
 which yields each member's trace with int column sums over it and builds
 no row per set: :func:`best_set_sum` is the largest of those sums,
 :func:`find_uniform_trace` reads each member's count of points in a
-candidate set, and the trace, a hereditary family's restriction and the
-norming sets all read it with empty columns.
+candidate set, and the trace and the norming sets read it with empty
+columns.
 
 A family flagged hereditary (every S_alpha, [N]^{<=n}, every hereditary
 closure) is closed under subsets, so every trie node is a member and the
@@ -32,7 +32,9 @@ the subtree of the root child labelled support[a]; any other family takes
 the full walk.  The flag is a checked claim: ``Family(sets,
 hereditary=True)`` refuses sets that are not closed under subsets, and
 only the constructors that build a closed family by construction set it
-unchecked.
+unchecked.  The trace of a flagged family on M is closed under subsets
+too, so it keeps the flag; it is also the family's restriction to M, the
+members inside M, so :func:`restrict` of a flagged family is its trace.
 
 Conventions
 -----------
@@ -141,11 +143,12 @@ class Family:
     Iteration order is deterministic: lexicographic on the increasing-tuple
     encoding, so a set precedes its proper extensions and siblings ascend.
 
-    ``hereditary_flag`` is tri-state and read-only (True / False / None for
-    unknown).  True is checked at construction with :func:`is_hereditary`,
-    and a ``ValueError`` names a member whose one-element removal is
-    missing, because the support-only walks trust it; False and None are
-    taken as given and select the full walks.
+    ``hereditary_flag`` is a read-only bool, False unless asked for.  True
+    is checked at construction with :func:`is_hereditary`, and a
+    ``ValueError`` names a member whose one-element removal is missing,
+    because the support-only walks trust it; False selects the full walks
+    and claims nothing, so an unflagged family may still be closed under
+    subsets.
     """
 
     __slots__ = ("_label", "_depth", "_end", "_term", "_height", "_size", "_hereditary")
@@ -153,15 +156,15 @@ class Family:
     def __init__(
         self,
         sets: Iterable[Iterable[int]] = (),
-        hereditary: Optional[bool] = None,
+        hereditary: bool = False,
     ) -> None:
         self._adopt(*_preorder(finite_set(s) for s in sets))
-        if hereditary is True:
+        if hereditary:
             gap = _missing_removal(self)
             if gap is not None:
                 s, t = (_show(u) for u in gap)
                 raise ValueError(f"family is not hereditary: {s} is a member but {t} is not")
-        self._hereditary = hereditary
+        self._hereditary = bool(hereditary)
 
     def _adopt(self, label: list[int], depth: list[int], end: list[int], term: bytearray) -> None:
         self._label = label
@@ -172,9 +175,7 @@ class Family:
         self._size = term.count(1)
 
     @classmethod
-    def _of(
-        cls, members: Iterable[FiniteSet], hereditary: Optional[bool] = None
-    ) -> "Family":
+    def _of(cls, members: Iterable[FiniteSet], hereditary: bool = False) -> "Family":
         """The family of ``members``, already finite sets, in any order."""
         return cls._from_arrays(*_preorder(members), hereditary=hereditary)
 
@@ -185,7 +186,7 @@ class Family:
         depth: list[int],
         end: list[int],
         term: bytearray,
-        hereditary: Optional[bool] = None,
+        hereditary: bool = False,
     ) -> "Family":
         out = cls.__new__(cls)
         out._adopt(label, depth, end, term)
@@ -193,7 +194,7 @@ class Family:
         return out
 
     @property
-    def hereditary_flag(self) -> Optional[bool]:
+    def hereditary_flag(self) -> bool:
         return self._hereditary
 
     @property
@@ -302,12 +303,13 @@ def hereditary_closure(family: Family) -> Family:
 
 
 def trace(family: Family, m: Iterable[int]) -> Family:
-    """The trace {s & M : s in family}, deduplicated, with no flag.
+    """The trace {s & M : s in family}, deduplicated.
 
     The images are those of :func:`trace_sums`, which on a hereditary family
-    enters only the labels in M.
+    enters only the labels in M.  The trace of a family flagged hereditary
+    is closed under subsets, and flagged; any other trace is not.
     """
-    return Family._of(_traces(family, finite_set(m)))
+    return Family._of(_traces(family, finite_set(m)), hereditary=family.hereditary_flag)
 
 
 def _traces(family: Family, support: FiniteSet) -> Iterator[FiniteSet]:
@@ -360,7 +362,7 @@ def trace_sums(
     top = max(columns, default=0)
     zero = (0,) * len(next(iter(columns.values()), ()))
     label, depth, end, term = family._label, family._depth, family._end, family._term
-    hereditary = family.hereditary_flag is True
+    hereditary = family.hereditary_flag
     # images[d], sums[d], parent[d]: image, sums and index of the node entered at depth d
     images: list[FiniteSet] = [()] * (family._height + 1)
     sums = [zero] * (family._height + 1)
@@ -414,18 +416,14 @@ def maximal_mask(sets: Sequence[FiniteSet]) -> list[bool]:
 def restrict(family: Family, m: Iterable[int]) -> Family:
     """The restriction {s in family : s subset of M}.
 
-    A hereditary family's restriction is its trace on M, and hereditary too,
-    so it is read from :func:`trace_sums` like :func:`trace`; any other
-    family is filtered member by member.
+    A family flagged hereditary holds s & M for each member s, so its
+    restriction is its :func:`trace`, flagged too; any other family is
+    filtered member by member, and the result is not flagged.
     """
-    mm = finite_set(m)
-    if family.hereditary_flag is True:
-        return Family._of(_traces(family, mm), hereditary=True)
-    mset = set(mm)
-    return Family._of(
-        (s for s in family if mset.issuperset(s)),
-        hereditary=family.hereditary_flag,
-    )
+    if family.hereditary_flag:
+        return trace(family, m)
+    mset = set(finite_set(m))
+    return Family._of(s for s in family if mset.issuperset(s))
 
 
 def oplus(f: Family, g: Family) -> Family:
@@ -578,7 +576,7 @@ def run_norm_rows(
     label, end = family._label, family._end
     size = len(label)
     last_first = range(len(support) - 1, -1, -1)
-    if family.hereditary_flag is True:
+    if family.hereditary_flag:
         # subtree[e]: the first node and the end of the root child labelled e
         subtree: dict[int, tuple[int, int]] = {}
         c = 1
@@ -641,7 +639,7 @@ def _run_rows(
     at = list(weights)
     label, depth, end = family._label, family._depth, family._end
     bisect_left = bisect.bisect_left
-    hereditary = family.hereditary_flag is True
+    hereditary = family.hereditary_flag
     # acc[d], parent[d]: running sum and index of the entered node at depth d
     acc = [0] * (family._height + 1)
     parent = [0] * (family._height + 1)

@@ -39,7 +39,8 @@ MAX_LEVEL = 256
 
 
 def _check_level(level: int, name: str = "level") -> None:
-    if not isinstance(level, int):
+    # a bool is an int, and True would run as level 1
+    if not isinstance(level, int) or isinstance(level, bool):
         raise ValueError(f"{name} must be an int, got {level!r}")
     if level < 0:
         raise ValueError(f"{name} must be >= 0")

@@ -1,7 +1,8 @@
 """JSON round-tripping for the file formats the CLI speaks.
 
 Rationals travel as "p/q" strings (plain integers allowed on input);
-families as {"sets": [[1,2],[3]], "hereditary": true|false|null};
+families as {"sets": [[1,2],[3]], "hereditary": true|false}, where null
+or a missing "hereditary" reads as false;
 partition measures as {"pieces": [...], "weights": [["1/2", ...], ...]};
 vectors as {"coords": [[3, "1/2"], [5, "-2/3"]]}; family parameters as
 {"lambda": "1/2", "window_max": 7, "seed": 12345} with an optional

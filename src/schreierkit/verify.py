@@ -464,9 +464,9 @@ def suite_tfamily(seed: int, params: Optional[tf.TParams] = None) -> list[Case]:
     def sandwich() -> Verdict:
         g = fam.Family(us)
         for a in profiles:
-            left = params.lam * norms.f_norm(a, g)
-            mid = max(tf.averages_norm(a, params), a.sup_norm())
             right = norms.f_norm(a, g)
+            left = params.lam * right
+            mid = max(tf.averages_norm(a, params), a.sup_norm())
             if not (left <= mid <= right):
                 return False, f"a={a!r}: {left} vs {mid} vs {right}", ""
         return True, "", ""

@@ -227,14 +227,21 @@ MUTANTS = (
     Mutant(
         "restrict-hereditary-flag-dropped",
         FAMILIES,
-        "        return Family._of(_traces(family, mm), hereditary=True)\n",
-        "        return Family._of(_traces(family, mm))\n",
+        "        return trace(family, m)\n",
+        "        return Family._of(_traces(family, finite_set(m)))\n",
+        ("tests/test_families.py::test_hereditary_walks_match_brute_force_and_the_full_walk",),
+    ),
+    Mutant(
+        "trace-drops-the-inherited-flag",
+        FAMILIES,
+        "    return Family._of(_traces(family, finite_set(m)), hereditary=family.hereditary_flag)\n",
+        "    return Family._of(_traces(family, finite_set(m)))\n",
         ("tests/test_families.py::test_hereditary_walks_match_brute_force_and_the_full_walk",),
     ),
     Mutant(
         "trace-sums-hereditary-skip-on-every-family",
         FAMILIES,
-        "    hereditary = family.hereditary_flag is True\n    # images[d]",
+        "    hereditary = family.hereditary_flag\n    # images[d]",
         "    hereditary = True\n    # images[d]",
         ("tests/test_families.py::test_trace_sums_match_member_by_member_sums",),
     ),
@@ -275,6 +282,13 @@ MUTANTS = (
         "    if f_norm(point, family) > bound:\n",
         "    if False:\n",
         (CERTIFICATE,),
+    ),
+    Mutant(
+        "gauge-level-accepts-bool",
+        "src/schreierkit/interpolation.py",
+        "    if not isinstance(level, int) or isinstance(level, bool):\n",
+        "    if not isinstance(level, int):\n",
+        ("tests/test_refusals.py::test_refusal_and_its_message",),
     ),
     Mutant(
         "gauge-certificate-bound-lambda",
@@ -447,6 +461,13 @@ MUTANTS = (
             "tests/test_serialize_cli.py::test_cli_tfamily_flags_keep_the_config_radices",
             "tests/test_serialize_cli.py::test_cli_tfamily_window_past_the_config_radices_is_refused",
         ),
+    ),
+    Mutant(
+        "json-null-reads-as-hereditary",
+        "src/schreierkit/serialize.py",
+        "    return Family(map(_set_array, sets), hereditary=hereditary)\n",
+        "    return Family(map(_set_array, sets), hereditary=hereditary is not False)\n",
+        ("tests/test_serialize_cli.py::test_family_round_trip",),
     ),
     Mutant(
         "radices-short-table-accepted",

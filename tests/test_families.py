@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from schreierkit import (
     Family,
     PartitionMeasure,
+    SparseVector,
     bounded_cardinality_family,
     best_set_sum,
+    f_norm,
     find_uniform_trace,
     finite_set,
     g_delta_mu,
@@ -61,7 +63,7 @@ def test_family_iteration_is_lexicographic_and_deduped():
 
 def test_family_equality_is_extensional():
     assert Family([[1], [2]]) == Family([[2], [1]])
-    assert Family([[], [1]], hereditary=True) == Family([[], [1]], hereditary=None)
+    assert Family([[], [1]], hereditary=True) == Family([[], [1]])
     assert Family([[1]]) != Family([[1], [2]])
     # same labels, depths and size; only the member flags differ
     assert Family([[], [1, 2]]) != Family([[1], [1, 2]])
@@ -88,8 +90,9 @@ def test_hereditary_flag_is_a_checked_claim():
     with pytest.raises(ValueError, match=r"\{2,3\} is a member but \{3\} is not"):
         Family([[], [1], [2], [2, 3]], hereditary=True)
     assert Family([], hereditary=True).hereditary_flag is True
-    # a false or unknown claim selects the full walks and is taken as given
+    # a false claim selects the full walks, and is the default
     assert Family([[1, 2]], hereditary=False).hereditary_flag is False
+    assert Family([[], [1]]).hereditary_flag is False
     with pytest.raises(AttributeError):
         Family([[1]]).hereditary_flag = True
 
@@ -172,9 +175,19 @@ def test_hereditary_walks_match_brute_force_and_the_full_walk(sets, m, weights):
             assert got._end == Family(images)._end
         assert norming_sets(f, m) == [(k,) for k in m] + wide
         assert max(max(weights.values(), default=0), best_set_sum(f, weights)) == best
-    assert trace(closed, m).hereditary_flag is None
-    assert restrict(closed, m).hereditary_flag is True
     assert best_set_sum(closed, weights) == best_set_sum(plain, weights)
+    # the trace of a flagged family is flagged, and is its restriction
+    traced = trace(closed, m)
+    assert traced.hereditary_flag is True and restrict(closed, m).hereditary_flag is True
+    assert trace(traced, m[::2]).hereditary_flag is True
+    assert trace(plain, m).hereditary_flag is False and restrict(plain, m).hereditary_flag is False
+    # the flagged trace's support-only walks agree with the full walks on its copy
+    copy = Family._from_arrays(traced._label, traced._depth, traced._end, traced._term)
+    support = sorted(weights)
+    ws = [int(weights[e] * 60) for e in support]  # denominators are at most 6
+    assert f_norm(SparseVector(weights), traced) == f_norm(SparseVector(weights), copy)
+    assert run_norm_rows(traced, support, ws) == run_norm_rows(copy, support, ws)
+    assert norming_sets(traced, m) == norming_sets(copy, m)
 
 
 @settings(max_examples=100, deadline=None)

@@ -52,7 +52,7 @@ RECORDS = {
     ),
     NormingSpec: (
         (FAM,), (Family([(1,)]),), False,
-        "NormingSpec(base_family=Family([{1,2}], n=1, hereditary=None))",
+        "NormingSpec(base_family=Family([{1,2}], n=1, hereditary=False))",
     ),
     SpreadingResult: (
         (Fraction(1, 2), [Fraction(1)], LP), (Fraction(1), [Fraction(1)], LP), False,
@@ -61,7 +61,7 @@ RECORDS = {
     GaugeProblem: (
         (X, 2, FAM), (X, 3, FAM), False,
         "GaugeProblem(x=SparseVector({1: 1}), level=2, family=Family([{1,2}], n=1, "
-        "hereditary=None), tolerance=Fraction(1, 1073741824))",
+        "hereditary=False), tolerance=Fraction(1, 1073741824))",
     ),
     GaugeBracket: (
         (Fraction(1, 3), Fraction(1, 3), 2), (Fraction(0), Fraction(1, 3), 2), True,

@@ -8,6 +8,7 @@ import pytest
 
 from schreierkit import (
     Family,
+    GaugeProblem,
     IndexPoint,
     NormingSpec,
     OrdinalCNF,
@@ -17,6 +18,7 @@ from schreierkit import (
     alpha_null_witness,
     block_p_norm_power,
     cesaro_profile,
+    dfjp_norm,
     eps_support_family,
     erdos_hajnal_count,
     f_of_u,
@@ -70,6 +72,13 @@ REFUSALS = {
         lambda: inner_distance(SparseVector(), S1, HALF, 0),
         "inner distance needs a nonzero vector",
     ),
+    # a bool is an int, so True and False would run as levels 1 and 0
+    "gauge-level-bool": (lambda: GaugeProblem(X, True, S1), "level must be an int, got True"),
+    "inner-distance-level-bool": (
+        lambda: inner_distance(X, S1, HALF, False),
+        "level must be an int, got False",
+    ),
+    "dfjp-norm-n-max-bool": (lambda: dfjp_norm(X, S1, n_max=True), "n_max must be an int, got True"),
     "block-power-p-below-one": (lambda: block_p_norm_power(X, S1, 0), "p must be >= 1, got 0"),
     "eps-supports-eps-zero": (
         lambda: eps_support_family([X], NormingSpec(S1), Fraction(0)),

@@ -35,11 +35,17 @@ def test_rational_round_trip():
 def test_family_round_trip():
     f = Family([[1, 2], [3]], hereditary=False)
     assert family_from_obj(family_to_obj(f)) == f
-    assert family_from_obj({"sets": [[1, 2]], "hereditary": None}).hereditary_flag is None
+    assert family_to_obj(f)["hereditary"] is False
+    # null and a missing field read as false; 0, 1 and strings are refused
+    assert family_from_obj({"sets": [[1, 2]], "hereditary": None}).hereditary_flag is False
+    assert family_from_obj({"sets": [[1, 2]]}).hereditary_flag is False
+    closed = family_from_obj({"sets": [[], [1]], "hereditary": True})
+    assert closed.hereditary_flag is True and family_to_obj(closed)["hereditary"] is True
     with pytest.raises(ValueError):
         family_from_obj({"sets": [[2, 1]]})
-    with pytest.raises(ValueError):
-        family_from_obj({"sets": [[1]], "hereditary": "yes"})
+    for bad in ("yes", "true", 0, 1):
+        with pytest.raises(ValueError, match='"hereditary" must be true, false or null'):
+            family_from_obj({"sets": [[1]], "hereditary": bad})
     with pytest.raises(ValueError):
         family_from_obj([1, 2])
 
