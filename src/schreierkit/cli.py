@@ -86,46 +86,44 @@ def _emit(text: str, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _otimes_on_window(f: fam.Family, g: fam.Family, window: Sequence[int]) -> fam.Family:
+    # otimes keeps only the blocks inside the window, so it reads the
+    # window at the family's elements alone; `in` on a range builds no point
+    used = {e for s in f for e in s}
+    return fam.otimes(f, g, [e for e in used if e in window])
+
+
+#: how the text of each flag a `family` op takes becomes its value
+_FAMILY_FLAG_VALUES = {
+    "set": _parse_set,
+    "other": lambda path: family_from_obj(load_json(path)),
+    "window": _parse_window,
+    "measure": lambda path: measure_from_obj(load_json(path)),
+    "density": parse_rational,
+}
+
+#: each `family` op: its library call, and the flags it requires, whose
+#: values follow the input family as that call's arguments
+FAMILY_OPS = {
+    "closure": (fam.hereditary_closure, ()),
+    "trace": (fam.trace, ("set",)),
+    "restrict": (fam.restrict, ("set",)),
+    "oplus": (fam.oplus, ("other",)),
+    "otimes": (_otimes_on_window, ("other", "window")),
+    "glambda": (fam.g_lambda, ("measure", "density")),
+    "gplus": (fam.g_plus, ("measure",)),
+    "gdeltamu": (fam.g_delta_mu, ("measure", "density")),
+}
+
+
 def cmd_family(args: argparse.Namespace) -> int:
+    call, flags = FAMILY_OPS[args.op]
+    # every required flag is checked before any file is read
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise InputError(f"--{flag} is required for {args.op}")
     family = family_from_obj(load_json(args.input))
-    op = args.op
-    if op == "closure":
-        result = fam.hereditary_closure(family)
-    elif op in ("trace", "restrict"):
-        if args.set is None:
-            raise InputError(f"--set is required for {op}")
-        m = _parse_set(args.set)
-        result = fam.trace(family, m) if op == "trace" else fam.restrict(family, m)
-    elif op in ("oplus", "otimes"):
-        if args.other is None:
-            raise InputError(f"--other is required for {op}")
-        other = family_from_obj(load_json(args.other))
-        if op == "oplus":
-            result = fam.oplus(family, other)
-        else:
-            if args.window is None:
-                raise InputError("--window is required for otimes")
-            window = _parse_window(args.window)
-            # otimes keeps only the blocks inside the window, so it reads the
-            # window at the family's elements alone; `in` on a range builds no point
-            used = {e for s in family for e in s}
-            result = fam.otimes(family, other, [e for e in used if e in window])
-    elif op in ("glambda", "gplus", "gdeltamu"):
-        if args.measure is None:
-            raise InputError(f"--measure is required for {op}")
-        measure = measure_from_obj(load_json(args.measure))
-        if op == "gplus":
-            result = fam.g_plus(family, measure)
-        else:
-            if args.density is None:
-                raise InputError(f"--density is required for {op}")
-            density = parse_rational(args.density)
-            if op == "glambda":
-                result = fam.g_lambda(family, measure, density)
-            else:
-                result = fam.g_delta_mu(family, measure, density)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown op {op!r}")
+    result = call(family, *(_FAMILY_FLAG_VALUES[flag](getattr(args, flag)) for flag in flags))
     _emit(dump_json(family_to_obj(result), None) + "\n", args.output)
     return 0
 
@@ -300,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_family = sub.add_parser("family", parents=[common], help="family algebra on JSON files")
-    p_family.add_argument("--op", required=True, choices=(
-        "closure", "trace", "restrict", "oplus", "otimes", "glambda", "gplus", "gdeltamu"))
+    p_family.add_argument("--op", required=True, choices=tuple(FAMILY_OPS))
     p_family.add_argument("--input", required=True)
     p_family.add_argument("--other", help="second family file for oplus/otimes")
     p_family.add_argument("--set", help="comma-separated set, e.g. 2,4,6")
@@ -359,7 +356,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args.seed = args.seed_explicit if args.seed_explicit is not None else 12345
     try:
         return args.fn(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -66,7 +66,10 @@ class GaugeProblem(_GaugeFields):
     def __new__(cls, *args, **kwargs) -> "GaugeProblem":
         self = super().__new__(cls, *args, **kwargs)
         _check_level(self.level)
-        if self.tolerance <= 0:
+        tol = self.tolerance
+        if not isinstance(tol, (int, Fraction)) or isinstance(tol, bool):
+            raise ValueError(f"tolerance must be an int or a Fraction, got {tol!r}")
+        if tol <= 0:
             raise ValueError("tolerance must be positive")
         return self
 
@@ -210,9 +213,9 @@ def dfjp_norm(
     if p.denominator != 1:
         raise ValueError("only integer p is supported in the exact tail bound")
     pint = p.numerator
+    _check_level(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_level(n_max, "n_max")
     if not x:
         zero = Fraction(0)
         return DfjpNormResult((), zero, zero, zero, pint)

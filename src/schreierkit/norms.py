@@ -100,6 +100,9 @@ def block_p_norm_power(x: SparseVector, family: Family, p: int) -> Fraction:
     in lowest terms, and no float.  A p whose powers could pass
     MAX_POWER_BITS is refused before any is built (:func:`power_weights`).
     """
+    # a bool is an int, and True would run as p = 1
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise ValueError(f"p must be an int, got {p!r}")
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     weights, scale = power_weights(x, p)
@@ -157,6 +160,8 @@ def baernstein_norm(x: SparseVector, family: Family, p: PValue) -> Union[Fractio
     """
     if _is_inf(p):
         return f_norm(x, family)
+    if isinstance(p, bool):
+        raise ValueError(f"p must be an int, got {p!r}")
     p = Fraction(p)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
@@ -455,6 +460,6 @@ def alpha_null_witness(
     for n, x in enumerate(xs, start=1):
         sub = finite_set(k for k in x.support if k in w)
         fam = schreier_enumerate(beta, sub)
-        if f_norm(x, fam) >= eps:
+        if f_norm(x.restrict(sub), fam) >= eps:
             out.append(n)
     return out

@@ -51,6 +51,7 @@ TFAMILY = "src/schreierkit/tfamily.py"
 EPS_SCAN = "tests/test_norms.py::test_eps_supports_match_the_per_set_scan"
 TRACE_DEFINITION = "tests/test_families.py::test_trace_matches_member_by_member_definition"
 TRANSVERSAL_SCAN = "tests/test_tfamily.py::test_transversal_queries_match_barrier_scans"
+REFUSAL = "tests/test_refusals.py::test_refusal_and_its_message"
 CERTIFICATE = "tests/test_interpolation.py::test_a_row_left_out_wrongly_fails_the_norm_certificate"
 BLOCK_ROWS = "tests/test_families.py::test_block_rows_match_the_per_row_walks"
 LP = "src/schreierkit/lp.py"
@@ -275,6 +276,28 @@ MUTANTS = (
         "lambda r: (float(r) / float(scale)) ** q)",
         ("tests/test_norms.py::test_block_norm_float_path_past_float_range_ints",),
     ),
+    Mutant(
+        "block-power-accepts-bool",
+        NORMS,
+        "    if not isinstance(p, int) or isinstance(p, bool):\n",
+        "    if not isinstance(p, int):\n",
+        (REFUSAL + "[block-power-p-bool]",),
+    ),
+    Mutant(
+        "block-norm-reads-a-bool-as-p-one",
+        NORMS,
+        "    if isinstance(p, bool):\n",
+        "    if False:\n",
+        (REFUSAL + "[baernstein-p-bool]",),
+    ),
+    # the witness norm reads x on the window only (norms.alpha_null_witness)
+    Mutant(
+        "alpha-null-witness-reads-past-the-window",
+        NORMS,
+        "f_norm(x.restrict(sub), fam)",
+        "f_norm(x, fam)",
+        ("tests/test_norms.py::test_alpha_null_witness_cases",),
+    ),
     # the certificate of the rows left out (norms.certify_left_out_rows)
     Mutant(
         "left-out-rows-uncertified",
@@ -289,6 +312,22 @@ MUTANTS = (
         "    if not isinstance(level, int) or isinstance(level, bool):\n",
         "    if not isinstance(level, int):\n",
         ("tests/test_refusals.py::test_refusal_and_its_message",),
+    ),
+    Mutant(
+        "n-max-compared-before-its-type-check",
+        "src/schreierkit/interpolation.py",
+        '    _check_level(n_max, "n_max")\n    if n_max < 1:\n'
+        '        raise ValueError(f"n_max must be >= 1, got {n_max}")\n',
+        '    if n_max < 1:\n        raise ValueError(f"n_max must be >= 1, got {n_max}")\n'
+        '    _check_level(n_max, "n_max")\n',
+        (REFUSAL + "[dfjp-norm-n-max-str]",),
+    ),
+    Mutant(
+        "gauge-tolerance-type-unchecked",
+        "src/schreierkit/interpolation.py",
+        "        if not isinstance(tol, (int, Fraction)) or isinstance(tol, bool):\n",
+        "        if False:\n",
+        (REFUSAL + "[gauge-tolerance-str]",),
     ),
     Mutant(
         "gauge-certificate-bound-lambda",
@@ -461,6 +500,14 @@ MUTANTS = (
             "tests/test_serialize_cli.py::test_cli_tfamily_flags_keep_the_config_radices",
             "tests/test_serialize_cli.py::test_cli_tfamily_window_past_the_config_radices_is_refused",
         ),
+    ),
+    # every flag a `family` op requires is checked before any file is read
+    Mutant(
+        "family-flag-loop-checks-only-the-first",
+        "src/schreierkit/cli.py",
+        "    for flag in flags:\n",
+        "    for flag in flags[:1]:\n",
+        ("tests/test_serialize_cli.py::test_cli_family_refuses_each_missing_flag",),
     ),
     Mutant(
         "json-null-reads-as-hereditary",

@@ -653,3 +653,7 @@ def test_alpha_null_witness_cases():
     ]
     wit = alpha_null_witness(flats, one, Fraction(3, 4), interval(1, 18))
     assert wit == [1]
+
+    # a coordinate past the window does not count: x on 1..8 is e_1, norm 1 < 2
+    far = SparseVector({1: Fraction(1), 20: Fraction(5)})
+    assert alpha_null_witness([far], one, Fraction(2), W8) == []

@@ -16,6 +16,7 @@ from schreierkit import (
     SparseVector,
     TParams,
     alpha_null_witness,
+    baernstein_norm,
     block_p_norm_power,
     cesaro_profile,
     dfjp_norm,
@@ -79,7 +80,27 @@ REFUSALS = {
         "level must be an int, got False",
     ),
     "dfjp-norm-n-max-bool": (lambda: dfjp_norm(X, S1, n_max=True), "n_max must be an int, got True"),
+    # a level or a tolerance of another type is refused before it is compared
+    "dfjp-norm-n-max-str": (lambda: dfjp_norm(X, S1, n_max="3"), "n_max must be an int, got '3'"),
+    "dfjp-norm-n-max-none": (lambda: dfjp_norm(X, S1, n_max=None), "n_max must be an int, got None"),
+    "gauge-tolerance-str": (
+        lambda: GaugeProblem(X, 2, S1, "1/2"),
+        "tolerance must be an int or a Fraction, got '1/2'",
+    ),
+    "gauge-tolerance-none": (
+        lambda: GaugeProblem(X, 2, S1, None),
+        "tolerance must be an int or a Fraction, got None",
+    ),
+    "gauge-tolerance-bool": (
+        lambda: GaugeProblem(X, 2, S1, True),
+        "tolerance must be an int or a Fraction, got True",
+    ),
     "block-power-p-below-one": (lambda: block_p_norm_power(X, S1, 0), "p must be >= 1, got 0"),
+    # True would run as p = 1
+    "block-power-p-bool": (lambda: block_p_norm_power(X, S1, True), "p must be an int, got True"),
+    "block-power-p-str": (lambda: block_p_norm_power(X, S1, "2"), "p must be an int, got '2'"),
+    "block-power-p-float": (lambda: block_p_norm_power(X, S1, 2.5), "p must be an int, got 2.5"),
+    "baernstein-p-bool": (lambda: baernstein_norm(X, S1, True), "p must be an int, got True"),
     "eps-supports-eps-zero": (
         lambda: eps_support_family([X], NormingSpec(S1), Fraction(0)),
         "eps must be positive",

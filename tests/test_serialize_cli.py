@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from schreierkit import Family, PartitionMeasure, SparseVector
+from schreierkit import Family, PartitionMeasure, SparseVector, interval, restrict, schreier_family, trace
 from schreierkit import cli, interpolation
 from schreierkit.cli import main
 from schreierkit.serialize import (
+    dump_json,
     family_from_obj,
     family_to_obj,
     format_rational,
@@ -297,6 +298,63 @@ def test_cli_family_ops(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["sets"] == [[1, 2]]
 
     assert main(["family", "--op", "trace", "--input", fpath]) == 2  # missing --set
+
+
+#: the flags each `family` op requires; closure requires none
+FAMILY_OP_FLAGS = {
+    "trace": ("set",),
+    "restrict": ("set",),
+    "oplus": ("other",),
+    "otimes": ("other", "window"),
+    "glambda": ("measure", "density"),
+    "gplus": ("measure",),
+    "gdeltamu": ("measure", "density"),
+}
+
+
+@pytest.mark.parametrize(
+    "op, missing", [(op, flag) for op, flags in FAMILY_OP_FLAGS.items() for flag in flags]
+)
+def test_cli_family_refuses_each_missing_flag(tmp_path, capsys, op, missing):
+    values = {
+        "set": "1,3",
+        "other": write(tmp_path, "g.json", {"sets": [[1], [1, 4]]}),
+        "window": "1..6",
+        "measure": write(tmp_path, "m.json", {"pieces": [[1, 2], [3, 4]]}),
+        "density": "1/2",
+    }
+    argv = ["family", "--op", op, "--input", write(tmp_path, "f.json", {"sets": [[1, 3]]})]
+    for flag in FAMILY_OP_FLAGS[op]:
+        if flag != missing:
+            argv += [f"--{flag}", values[flag]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: --{missing} is required for {op}\n"
+
+
+def test_cli_family_trace_and_restrict_write_the_library_results(tmp_path, capsys):
+    # the unflagged family's trace and restriction differ; S_1's are equal
+    loose = Family([[1, 2], [2, 3], [3]])
+    s1 = schreier_family(interval(1, 8))
+    for f, m in ((loose, (2, 3)), (s1, (2, 3, 5, 8))):
+        path = write(tmp_path, "f.json", family_to_obj(f))
+        for op, call in (("trace", trace), ("restrict", restrict)):
+            assert main(["family", "--op", op, "--input", path, "--set", ",".join(map(str, m))]) == 0
+            assert capsys.readouterr().out == dump_json(family_to_obj(call(f, m)), None) + "\n"
+    assert trace(loose, (2, 3)).members() == [(2,), (2, 3), (3,)]
+    assert restrict(loose, (2, 3)).members() == [(2, 3), (3,)]
+
+
+def test_cli_family_checks_its_flags_before_reading_a_file(tmp_path, capsys):
+    fpath = write(tmp_path, "f.json", {"sets": [[1, 3]]})
+    nope = str(tmp_path / "nope.json")
+    assert main(["family", "--op", "glambda", "--input", fpath, "--measure", nope]) == 2
+    assert capsys.readouterr().err == "error: --density is required for glambda\n"
+    assert main(["family", "--op", "trace", "--input", nope]) == 2
+    assert capsys.readouterr().err == "error: --set is required for trace\n"
+    # with every flag given, the missing file is the error
+    assert main(["family", "--op", "glambda", "--input", fpath, "--measure", nope,
+                 "--density", "1/2"]) == 2
+    assert "nope.json" in capsys.readouterr().err
 
 
 def test_cli_schreier_queries(capsys):
